@@ -32,6 +32,9 @@ CLASS_STRICT_LOCAL_MIN = "StrictLocalMin"
 CLASS_STRICT_SADDLE = "StrictSaddle"
 CLASS_DEGENERATE = "Degenerate"
 
+#: Lookup from sign + 1 (0, 1, 2) to the fingerprint characters.
+_SIGN_CHARS = np.frombuffer(b"-0+", dtype=np.uint8)
+
 
 @dataclass(frozen=True)
 class SupportPattern:
@@ -42,7 +45,7 @@ class SupportPattern:
     @property
     def bits(self):
         """Sign pattern as a string over {+, -, 0}."""
-        return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in self.signs)
+        return _SIGN_CHARS[np.sign(self.signs).astype(np.intp) + 1].tobytes().decode("ascii")
 
 
 def support(x, tol=SUPPORT_TOL):
@@ -51,8 +54,8 @@ def support(x, tol=SUPPORT_TOL):
         raise ValueError("tol must be >= 0")
     x = np.asarray(x, dtype=float)
     signs = np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
-    active = tuple(int(i) for i in np.nonzero(signs)[0])
-    inactive = tuple(int(i) for i in np.nonzero(signs == 0)[0])
+    active = tuple(np.flatnonzero(signs).tolist())
+    inactive = tuple(np.flatnonzero(signs == 0).tolist())
     return SupportPattern(active=active, inactive=inactive, signs=signs)
 
 
@@ -117,70 +120,24 @@ def restricted_hessian(prob, x, pattern):
     return H
 
 
-def symmetric_eigen(M, max_sweeps=100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+def symmetric_eigen(M):
+    """Eigen-decomposition of a symmetric matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Returns (eigenvalues ascending, eigenvectors as columns). Sweeps stop
-    once the off-diagonal Frobenius norm drops below 1e-12 times the norm
-    of the input.
-
-    Raises ``ValueError`` for non-symmetric input and ``NumericalFailure``
-    if the sweep limit is hit first.
+    Returns (eigenvalues ascending, eigenvectors as columns). Raises
+    ``ValueError`` for non-square or non-symmetric input and
+    ``NumericalFailure`` if LAPACK does not converge.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
     if not np.allclose(M, M.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(M).max())):
         raise ValueError("matrix must be symmetric")
-    A = 0.5 * (M + M.T)
-    V = np.eye(n)
-    norm = np.linalg.norm(A)
-    if norm == 0.0 or n == 1:
-        vals = np.diag(A).copy()
-        order = np.argsort(vals)
-        return vals[order], V[:, order]
-    target = 1e-12 * norm
-    strict = np.tril_indices(n, -1)
-    for _ in range(max_sweeps):
-        # Norm of the off-diagonal entries themselves; the textbook
-        # ||A||^2 - ||diag||^2 form cancels catastrophically near
-        # convergence.
-        off = math.sqrt(2.0) * np.linalg.norm(A[strict])
-        if off <= target:
-            vals = np.diag(A).copy()
-            order = np.argsort(vals)
-            return vals[order], V[:, order]
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # tan(phi) ~ 1/(2 theta), avoids theta**2 overflow
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    raise NumericalFailure(
-        f"Jacobi sweeps did not reduce the off-diagonal norm below {target:g}"
-    )
+    try:
+        return np.linalg.eigh(0.5 * (M + M.T))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"symmetric eigensolve did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -113,11 +113,17 @@ class ExperimentConfig:
     perturbation: np.ndarray = None
     perturbation_scale: float = None
 
+    REQUIRED = ("problem", "solver", "num_inits", "init_box", "seed")
+    OPTIONAL = ("saddle_radius", "perturbation", "perturbation_scale")
+
     @staticmethod
     def from_dict(data, n_hint=None):
-        for key in ("problem", "solver", "num_inits", "init_box", "seed"):
+        for key in ExperimentConfig.REQUIRED:
             if key not in data:
                 raise ValueError(f"experiment config missing field {key!r}")
+        unknown = set(data) - set(ExperimentConfig.REQUIRED + ExperimentConfig.OPTIONAL)
+        if unknown:
+            raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
         solver = SolverConfig.from_dict(data["solver"])
         num_inits = int(data["num_inits"])
         if num_inits < 1:
@@ -129,6 +135,11 @@ class ExperimentConfig:
         if saddle_radius <= 0.0:
             raise ValueError("saddle_radius must be positive")
         pert = data.get("perturbation")
+        scale = data.get("perturbation_scale")
+        if scale is not None:
+            scale = float(scale)
+            if not (math.isfinite(scale) and scale >= 0.0):
+                raise ValueError("perturbation_scale must be finite and >= 0")
         return ExperimentConfig(
             problem_spec=data["problem"],
             solver=solver,
@@ -138,7 +149,7 @@ class ExperimentConfig:
             seed=int(data["seed"]),
             saddle_radius=saddle_radius,
             perturbation=None if pert is None else np.asarray(pert, dtype=float),
-            perturbation_scale=data.get("perturbation_scale"),
+            perturbation_scale=scale,
         )
 
 

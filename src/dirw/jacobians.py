@@ -32,7 +32,7 @@ from .analysis import (
     CLASS_STRICT_SADDLE,
 )
 from .errors import NonStationaryPointError, NumericalFailure
-from .solvers import solution_map
+from .solvers import eps_factor, solution_map
 
 #: Residual gate for treating a point as stationary in Jacobian builders.
 STATIONARY_GATE = 1e-6
@@ -82,10 +82,17 @@ class FixedPointJacobian:
         }
 
 
-def _eps_scalar(alpha, mu, eps_decay):
-    if eps_decay == "damped":
-        return 1.0 - alpha * (1.0 - mu)
-    return mu
+def _l2_scaling(prob, x_star, act, beta):
+    """Positive diagonal P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*| of the DIRL2 active block."""
+    xa = np.abs(x_star[act])
+    return 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
+
+
+def _scaled_eigenvalues(H, P):
+    """Eigenvalues of P^-1 H from the symmetric congruence P^-1/2 H P^-1/2."""
+    inv_sqrt = 1.0 / np.sqrt(P)
+    vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
+    return vals
 
 
 def _require_stationary(prob, x_star, tol_support, gate):
@@ -117,7 +124,7 @@ def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
         off_Ieps = -(alpha / beta) * prob.lam * rpp * np.sign(xa)
     else:
         off_Ieps = np.zeros(0)
-    scalar_eps = _eps_scalar(alpha, mu, eps_decay)
+    scalar_eps = eps_factor(alpha, mu, eps_decay)
     spectrum = np.sort(
         np.concatenate(
             [1.0 - (alpha / beta) * vals,
@@ -161,18 +168,15 @@ def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
     H = restricted_hessian(prob, x_star, pattern)
     hess_f = prob.hessian_smooth(x_star)
     if act:
-        xa = np.abs(x_star[act])
-        P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
-        inv_sqrt = 1.0 / np.sqrt(P)
-        congruent = inv_sqrt[:, None] * H * inv_sqrt[None, :]
-        vals, _ = symmetric_eigen(congruent)
+        P = _l2_scaling(prob, x_star, act, beta)
+        vals = _scaled_eigenvalues(H, P)
         block = np.eye(len(act)) - (alpha / beta) * (H / P[:, None])
         off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)] / P[:, None]
     else:
         vals = np.zeros(0)
         block = np.zeros((0, 0))
         off_IJ = np.zeros((0, len(inact)))
-    scalar_eps = _eps_scalar(alpha, mu, eps_decay)
+    scalar_eps = eps_factor(alpha, mu, eps_decay)
     spectrum = np.sort(
         np.concatenate(
             [1.0 - (alpha / beta) * vals,
@@ -335,10 +339,8 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm,
         if algorithm == "DIRL1":
             vals, _ = symmetric_eigen(H)
         else:
-            xa = np.abs(np.asarray(x_star, float)[list(jac.active)])
-            P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
-            inv_sqrt = 1.0 / np.sqrt(P)
-            vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
+            P = _l2_scaling(prob, np.asarray(x_star, float), list(jac.active), beta)
+            vals = _scaled_eigenvalues(H, P)
         block_vals = 1.0 - (alpha / beta) * vals
     else:
         block_vals = np.zeros(0)

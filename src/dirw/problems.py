@@ -29,7 +29,7 @@ def _frozen(a):
 class SmoothTerm:
     """Dense smooth term with closed-form gradient and (constant) Hessian."""
 
-    __slots__ = ("kind", "A", "b", "c")
+    __slots__ = ("kind", "A", "b", "c", "_gram")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -53,6 +53,7 @@ class SmoothTerm:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_gram", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
@@ -73,9 +74,14 @@ class SmoothTerm:
         return self.A.T @ (self.A @ x - self.b)
 
     def hessian(self):
+        """The constant Hessian, read-only: A, or A'A formed on first use."""
         if self.kind == "quadratic":
             return self.A
-        return self.A.T @ self.A
+        if self._gram is None:
+            gram = self.A.T @ self.A
+            gram.setflags(write=False)
+            object.__setattr__(self, "_gram", gram)
+        return self._gram
 
     def to_dict(self):
         return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist(), "c": self.c}
@@ -149,25 +155,21 @@ class Problem:
         # Hessian is constant for both smooth-term kinds.
         return self.smooth.hessian()
 
-    def estimate_lipschitz_gradient(self, rel_tol=1e-8, max_iter=10000):
-        """Largest Hessian eigenvalue magnitude, found by power iteration."""
-        H = self.smooth.hessian()
-        n = H.shape[0]
-        # Deterministic start vector with components in every coordinate
-        # direction, so no dominant eigenspace is missed by orthogonality.
-        v = np.cos(np.arange(n) + 0.5) + 1.5
-        v /= np.linalg.norm(v)
-        est = 0.0
-        for _ in range(max_iter):
-            w = H @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            if abs(norm - est) <= rel_tol * max(1.0, norm):
-                return float(norm)
-            est = norm
-            v = w / norm
-        return float(est)
+    def estimate_lipschitz_gradient(self):
+        """Largest Hessian eigenvalue magnitude, computed by LAPACK.
+
+        For least squares this is the top eigenvalue of the smaller Gram
+        matrix: A A' when A has fewer rows than columns, else A'A.
+        """
+        s = self.smooth
+        if s.kind == "quadratic":
+            M = s.A
+        elif s.A.shape[0] < s.A.shape[1]:
+            M = s.A @ s.A.T
+        else:
+            M = s.hessian()
+        vals = np.linalg.eigvalsh(M)
+        return float(max(abs(vals[0]), abs(vals[-1])))
 
     def perturbed_linearly(self, v):
         """The problem with smooth term f(x) - <v, x> (same penalty).
@@ -182,9 +184,8 @@ class Problem:
         if s.kind == "quadratic":
             smooth = SmoothTerm("quadratic", s.A, s.b - v, s.c)
         else:
-            H = s.A.T @ s.A
             smooth = SmoothTerm(
-                "quadratic", H, -(s.A.T @ s.b) - v, 0.5 * float(s.b @ s.b)
+                "quadratic", s.hessian(), -(s.A.T @ s.b) - v, 0.5 * float(s.b @ s.b)
             )
         return Problem(smooth, self.reg, self.lam)
 
@@ -252,7 +253,7 @@ def problem_from_dict(data):
     except ValueError as exc:
         raise ValueError(f"invalid problem file: field 'p': {exc}") from exc
     lam = data["lambda"]
-    _require(isinstance(lam, (int, float)) and lam > 0, "lambda", "must be > 0")
+    _require(type(lam) in (int, float) and lam > 0, "lambda", "must be a number > 0")
     return Problem(smooth, reg, lam)
 
 

@@ -188,7 +188,7 @@ def check_jacobian_fd(seed=3, points=20, h=1e-6, tol=1e-5):
 
 
 def check_eigen_reconstruction(seed=4, matrices=20, max_size=32):
-    """Jacobi eigendecomposition reconstructs M = V diag(vals) V'."""
+    """symmetric_eigen returns ascending eigenpairs with M V = V diag(vals)."""
     rng = make_rng(seed, "selfcheck", 4)
     for _ in range(matrices):
         n = int(rng.integers(1, max_size + 1))

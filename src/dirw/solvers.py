@@ -92,6 +92,13 @@ def dirl2_subproblem(x, grad, u, beta, lam):
     return np.where(np.isinf(u), 0.0, (x - grad / beta) / (1.0 + (2.0 * lam / beta) * u))
 
 
+def eps_factor(alpha, mu, eps_decay):
+    """Per-step relaxation factor: 1 - alpha(1 - mu) when damped, else mu."""
+    if eps_decay == "damped":
+        return 1.0 - alpha * (1.0 - mu)
+    return mu
+
+
 @dataclass
 class SolverConfig:
     """Algorithm choice and iteration parameters.
@@ -117,23 +124,25 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be positive")
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be positive and finite")
         if self.eps_decay not in EPS_DECAY_MODES:
             raise ValueError(f"eps_decay must be one of {EPS_DECAY_MODES}")
         eps0 = np.asarray(self.eps0, dtype=float)
         if np.any(eps0 <= 0.0) or not np.all(np.isfinite(eps0)):
             raise ValueError("eps0 must be positive elementwise")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be >= 0")
-        if not (self.tol_step > 0.0 and self.tol_eps > 0.0):
-            raise ValueError("tolerances must be positive")
+        if (
+            isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, (int, np.integer))
+            or self.max_iter < 0
+        ):
+            raise ValueError("max_iter must be a non-negative integer")
+        if not all(t > 0.0 and math.isfinite(t) for t in (self.tol_step, self.tol_eps)):
+            raise ValueError("tolerances must be positive and finite")
 
     @property
     def eps_factor(self):
-        if self.eps_decay == "damped":
-            return 1.0 - self.alpha * (1.0 - self.mu)
-        return self.mu
+        return eps_factor(self.alpha, self.mu, self.eps_decay)
 
     def initial_eps(self, n):
         eps = np.asarray(self.eps0, dtype=float)
@@ -212,7 +221,16 @@ def _perturbed_value(config, problem, x, eps):
     return problem.perturbed_value_l2(x, eps)
 
 
+def _check_finite(F, k):
+    if not math.isfinite(F):
+        raise NumericalFailure(
+            f"perturbed objective is not finite at iteration {k}: {F!r}",
+            iteration=k,
+        )
+
+
 def _descent_check(F_old, F_new, k):
+    _check_finite(F_new, k)
     if F_new > F_old + DESCENT_SLACK * max(1.0, abs(F_old)):
         raise NumericalFailure(
             f"perturbed objective increased at iteration {k}: "
@@ -328,6 +346,7 @@ def make_initial_state(config, problem, x0):
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
     F0 = _perturbed_value(config, problem, x0, eps)
+    _check_finite(F0, 0)
     return IterateState(
         k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf
     )

@@ -15,7 +15,7 @@ from dirw.analysis import (
     support,
     symmetric_eigen,
 )
-from dirw.errors import NonStationaryPointError
+from dirw.errors import NonStationaryPointError, NumericalFailure
 from dirw.problems import Problem, SmoothTerm
 from dirw.regularizers import Regularizer
 from dirw.solvers import SolverConfig, run
@@ -201,3 +201,43 @@ def test_extrapolate_limit():
     # below support tolerance snaps to zero regardless
     xs3 = np.stack([np.full(60, 1e-12), np.full(60, 0.7)], axis=1)
     assert extrapolate_limit(xs3)[0] == 0.0
+
+
+def _support_reference(x, tol):
+    """The generator-based support split, kept as an oracle."""
+    signs = np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
+    active = tuple(int(i) for i in np.nonzero(signs)[0])
+    inactive = tuple(int(i) for i in np.nonzero(signs == 0)[0])
+    bits = "".join("+" if s > 0 else "-" if s < 0 else "0" for s in signs)
+    return active, inactive, bits
+
+
+def test_support_matches_reference(rng):
+    tol = 1e-10
+    specials = np.array([tol, -tol, 0.0, -0.0, 2 * tol, -2 * tol, 0.5 * tol, 1.0, -1.0])
+    for trial in range(200):
+        n = int(rng.integers(0, 1001)) if trial else 1000
+        x = rng.normal(0.0, 1e-9, n)
+        mask = rng.random(n) < 0.5
+        x[mask] = rng.choice(specials, int(mask.sum()))
+        pat = support(x, tol)
+        active, inactive, bits = _support_reference(x, tol)
+        assert pat.active == active
+        assert pat.inactive == inactive
+        assert pat.bits == bits
+        assert all(type(i) is int for i in pat.active + pat.inactive)
+    assert support(np.array([-0.0, tol, -tol])).bits == "000"
+
+
+def test_symmetric_eigen_wraps_lapack_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailure, match="did not converge"):
+        symmetric_eigen(np.eye(3))
+
+
+def test_symmetric_eigen_empty():
+    vals, vecs = symmetric_eigen(np.zeros((0, 0)))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)

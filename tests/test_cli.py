@@ -180,6 +180,38 @@ def test_experiment_config_validation():
         })
 
 
+def test_experiment_config_rejects_unknown_fields(tmp_path):
+    with open(experiment(tmp_path, perturbaton=[0.1, 0.1])) as fh:
+        data = json.load(fh)
+    with pytest.raises(ValueError, match="perturbaton"):
+        ExperimentConfig.from_dict(data)
+    del data["perturbaton"]
+    exp = ExperimentConfig.from_dict(dict(data, perturbation=None, perturbation_scale=0.0))
+    assert exp.saddle_radius == 1e-3 and exp.perturbation_scale == 0.0
+
+
+@pytest.mark.parametrize("scale", [-0.05, float("inf"), float("nan")])
+def test_experiment_config_rejects_bad_perturbation_scale(tmp_path, scale):
+    with open(experiment(tmp_path, perturbation_scale=scale)) as fh:
+        data = json.load(fh)
+    with pytest.raises(ValueError, match="perturbation_scale"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_escape_counts_non_finite_start_as_failed(tmp_path):
+    exp = ExperimentConfig.from_dict({
+        "problem": "benchmark2d",
+        "solver": {"algorithm": "DIRL1"},
+        "num_inits": 2,
+        "init_box": [[1e200, 1e200], [2e200, 2e200]],
+        "seed": 0,
+    })
+    with np.errstate(over="ignore"):
+        summary = run_escape(exp)
+    assert summary["basins"]["failed"] == 2
+    assert all("not finite" in rec["error"] for rec in summary["records"])
+
+
 def test_run_escape_records_structure(tmp_path):
     exp = ExperimentConfig.from_dict({
         "problem": "benchmark2d",

@@ -123,6 +123,82 @@ def test_lipschitz_estimates():
     assert indefinite.estimate_lipschitz_gradient() == pytest.approx(3.0, rel=1e-7)
 
 
+def _exp_problem(smooth):
+    return Problem(smooth, Regularizer("EXP", 1.0), 1.0)
+
+
+def _power_iteration(H, rel_tol=1e-8, max_iter=10000):
+    """The power-iteration L estimate that LAPACK replaced, kept as an oracle."""
+    v = np.cos(np.arange(H.shape[0]) + 0.5) + 1.5
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(max_iter):
+        norm = np.linalg.norm(H @ v)
+        if abs(norm - est) <= rel_tol * max(1.0, norm):
+            return float(norm)
+        est = norm
+        v = (H @ v) / norm
+    return float(est)
+
+
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30)])
+def test_lipschitz_least_squares_is_spectral_norm_squared(shape):
+    A = np.random.default_rng(7).normal(size=shape)
+    prob = _exp_problem(SmoothTerm("least_squares", A, np.zeros(shape[0])))
+    assert prob.estimate_lipschitz_gradient() == pytest.approx(
+        np.linalg.norm(A, 2) ** 2, rel=1e-12
+    )
+
+
+def test_lipschitz_quadratic_indefinite_and_zero():
+    rng = np.random.default_rng(8)
+    B = rng.normal(size=(6, 6))
+    A = 0.5 * (B + B.T)
+    vals = np.linalg.eigvalsh(A)
+    prob = _exp_problem(SmoothTerm("quadratic", A, np.zeros(6)))
+    assert vals[0] < 0.0 < vals[-1]
+    assert prob.estimate_lipschitz_gradient() == pytest.approx(np.max(np.abs(vals)), rel=1e-12)
+    zero = _exp_problem(SmoothTerm("quadratic", np.zeros((3, 3)), np.zeros(3)))
+    assert zero.estimate_lipschitz_gradient() == 0.0
+    zero_ls = _exp_problem(SmoothTerm("least_squares", np.zeros((2, 4)), np.zeros(2)))
+    assert zero_ls.estimate_lipschitz_gradient() == 0.0
+
+
+def test_lipschitz_not_below_power_iteration():
+    # The 500 x 1000 sparse-recovery matrix where power iteration gives
+    # 5.736023 against the true 5.736027.
+    m, n = 500, 1000
+    A = np.random.default_rng(0).normal(0.0, 1.0 / np.sqrt(m), (m, n))
+    prob = Problem(SmoothTerm("least_squares", A, np.zeros(m)), Regularizer("LPN", 0.5), 0.05)
+    L = prob.estimate_lipschitz_gradient()
+    old = _power_iteration(A.T @ A)
+    assert old == pytest.approx(5.736023, abs=5e-7)
+    assert L >= old
+    assert L == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12)
+
+
+def test_least_squares_hessian_is_cached_and_read_only():
+    A = np.random.default_rng(9).normal(size=(5, 3))
+    smooth = SmoothTerm("least_squares", A, np.zeros(5))
+    H = smooth.hessian()
+    assert smooth.hessian() is H
+    assert not H.flags.writeable
+    assert np.array_equal(H, A.T @ A)
+    with pytest.raises(ValueError):
+        H[0, 0] = 1.0
+    pert = _exp_problem(smooth).perturbed_linearly(np.zeros(3))
+    assert np.array_equal(pert.smooth.hessian(), H)
+
+
+def test_load_problem_rejects_boolean_lambda(tmp_path, bench):
+    data = bench.to_dict()
+    data["lambda"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="lambda"):
+        load_problem(path)
+
+
 def test_benchmark_stationary_roots(saddle_x2):
     # On-axis stationary x2 solve 4 s^3 - 5 s + 1 = 0 with s = sqrt(x2).
     for x2 in (1.0, saddle_x2):

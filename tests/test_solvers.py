@@ -131,6 +131,26 @@ def test_descent_violation_raises(bench):
     assert err.value.iteration == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_initial_objective_raises(bench):
+    with pytest.raises(NumericalFailure, match="not finite") as err:
+        run(SolverConfig("DIRL1"), bench, [1e200, 1e200])
+    assert err.value.iteration == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_objective_overflow_during_run_raises():
+    # Unbounded below: x1 grows by 1 + alpha/beta per step until F hits -inf.
+    prob = Problem(
+        SmoothTerm("quadratic", np.diag([-1.0, 2.0]), np.zeros(2)),
+        Regularizer("LOG", 1.0),
+        1.0,
+    )
+    with pytest.raises(NumericalFailure, match="not finite") as err:
+        run(SolverConfig("DIRL1"), prob, [1e154, 0.0])
+    assert err.value.iteration >= 1
+
+
 def test_dirl2_weights():
     reg = Regularizer("LPN", 0.5)
     assert dirl2_weights(np.array([1.0]), np.zeros(1), reg)[0] == pytest.approx(0.25)
@@ -283,6 +303,22 @@ def test_solver_config_validation():
     assert np.allclose(cfg.initial_eps(2), [1.0, 2.0])
     with pytest.raises(ValueError):
         cfg.initial_eps(3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", math.nan), ("beta", math.inf), ("beta", math.nan),
+    ("mu", math.inf), ("tol_step", math.inf), ("tol_eps", math.nan),
+])
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite|lie in"):
+        SolverConfig("DIRL1", **{field: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, 10.5, True, -1, "100"])
+def test_solver_config_rejects_non_integer_max_iter(value):
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig("DIRL1", max_iter=value)
+    assert SolverConfig("DIRL1", max_iter=np.int64(5)).max_iter == 5
 
 
 def test_eps_strictly_decreasing(bench):
