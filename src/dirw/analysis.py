@@ -28,6 +28,12 @@ DEGENERACY_DELTA = 1e-8
 #: Default residual bound below which a point counts as stationary.
 RESIDUAL_TOL = 1e-6
 
+#: A decaying coordinate is snapped to zero only below this magnitude.
+SNAP_SMALL = 1e-4
+
+#: Median step-to-step magnitude ratio at or below which a coordinate decays.
+SNAP_RATIO = 0.999
+
 CLASS_STRICT_LOCAL_MIN = "StrictLocalMin"
 CLASS_STRICT_SADDLE = "StrictSaddle"
 CLASS_DEGENERATE = "Degenerate"
@@ -75,7 +81,7 @@ class StationarityReport:
         }
 
 
-def stationarity_residual(prob, x, tol_support=SUPPORT_TOL, tol_residual=RESIDUAL_TOL):
+def stationarity_residual(prob, x, tol_residual=RESIDUAL_TOL):
     """First-order residual over the active set and margin over the inactive set.
 
     The margin is lambda * r'(0+) - max_{inactive} |grad_i f(x)|, which is
@@ -84,7 +90,7 @@ def stationarity_residual(prob, x, tol_support=SUPPORT_TOL, tol_residual=RESIDUA
     positive margin.
     """
     x = np.asarray(x, dtype=float)
-    pattern = support(x, tol_support)
+    pattern = support(x)
     grad = prob.gradient_smooth(x)
     if pattern.active:
         idx = list(pattern.active)
@@ -161,24 +167,19 @@ class SaddleReport:
         }
 
 
-def classify_stationary_point(
-    prob,
-    x,
-    tol_support=SUPPORT_TOL,
-    delta=DEGENERACY_DELTA,
-    tol_residual=RESIDUAL_TOL,
-):
+def classify_stationary_point(prob, x, tol_residual=RESIDUAL_TOL):
     """Label a stationary point via the restricted Hessian spectrum.
 
-    StrictLocalMin when lambda_min > delta, StrictSaddle when
-    lambda_min < -delta, Degenerate in between. An empty active set means
-    the quadratic form ranges over the trivial subspace, so the point is a
-    (possibly spurious) strict local minimum by convention.
+    With delta = DEGENERACY_DELTA: StrictLocalMin when lambda_min > delta,
+    StrictSaddle when lambda_min < -delta, Degenerate in between. An empty
+    active set means the quadratic form ranges over the trivial subspace,
+    so the point is a (possibly spurious) strict local minimum by
+    convention.
     ``negative_definite`` reports the stronger all-eigenvalues-negative
     condition; it does not affect the label.
     """
     x = np.asarray(x, dtype=float)
-    report = stationarity_residual(prob, x, tol_support, tol_residual)
+    report = stationarity_residual(prob, x, tol_residual)
     if not report.is_stationary:
         raise NonStationaryPointError(
             f"point is not stationary: residual={report.residual_active:.3e}, "
@@ -199,9 +200,9 @@ def classify_stationary_point(
         )
     vals, _ = symmetric_eigen(H)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
-    if lam_min > delta:
+    if lam_min > DEGENERACY_DELTA:
         label = CLASS_STRICT_LOCAL_MIN
-    elif lam_min < -delta:
+    elif lam_min < -DEGENERACY_DELTA:
         label = CLASS_STRICT_SADDLE
     else:
         label = CLASS_DEGENERATE
@@ -211,7 +212,7 @@ def classify_stationary_point(
         lambda_min=lam_min,
         lambda_max=lam_max,
         classification=label,
-        negative_definite=lam_max < -delta,
+        negative_definite=lam_max < -DEGENERACY_DELTA,
         pattern=pattern,
     )
 
@@ -234,15 +235,15 @@ def check_support_identification(trace, window):
     return all(b == tail[0] for b in tail)
 
 
-def extrapolate_limit(xs, support_tol=SUPPORT_TOL, small=1e-4, ratio_max=0.999):
+def extrapolate_limit(xs):
     """Limit of a convergent iterate window with decaying coordinates zeroed.
 
     The weighted-l2 iteration (and the damped l1 iteration after support
     identification) shrinks inactive coordinates by a constant factor per
     step, so they terminate slightly above the support tolerance. A
-    coordinate is snapped to zero when it is already below ``support_tol``,
-    or when it is small and its magnitudes contract geometrically across
-    the window.
+    coordinate is snapped to zero when it is already below SUPPORT_TOL,
+    or when it is below SNAP_SMALL and its magnitudes contract
+    geometrically (median ratio at most SNAP_RATIO) across the window.
     """
     X = np.asarray(xs, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -250,11 +251,11 @@ def extrapolate_limit(xs, support_tol=SUPPORT_TOL, small=1e-4, ratio_max=0.999):
     limit = X[-1].copy()
     for i in range(X.shape[1]):
         v = np.abs(X[:, i])
-        if v[-1] <= support_tol:
+        if v[-1] <= SUPPORT_TOL:
             limit[i] = 0.0
             continue
-        if v[-1] > small or np.any(v[:-1] == 0.0):
+        if v[-1] > SNAP_SMALL or np.any(v[:-1] == 0.0):
             continue
-        if np.median(v[1:] / v[:-1]) <= ratio_max:
+        if np.median(v[1:] / v[:-1]) <= SNAP_RATIO:
             limit[i] = 0.0
     return limit

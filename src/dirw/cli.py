@@ -101,6 +101,13 @@ def parse_x0(spec, n, seed):
     return x0
 
 
+def _integer_field(data, key):
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     problem_spec: str
@@ -117,7 +124,7 @@ class ExperimentConfig:
     OPTIONAL = ("saddle_radius", "perturbation", "perturbation_scale")
 
     @staticmethod
-    def from_dict(data, n_hint=None):
+    def from_dict(data):
         for key in ExperimentConfig.REQUIRED:
             if key not in data:
                 raise ValueError(f"experiment config missing field {key!r}")
@@ -125,15 +132,18 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
         solver = SolverConfig.from_dict(data["solver"])
-        num_inits = int(data["num_inits"])
+        num_inits = _integer_field(data, "num_inits")
         if num_inits < 1:
             raise ValueError("num_inits must be >= 1")
+        seed = _integer_field(data, "seed")
         lo, hi = data["init_box"]
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("init_box bounds must be finite")
         saddle_radius = float(data.get("saddle_radius", 1e-3))
-        if saddle_radius <= 0.0:
-            raise ValueError("saddle_radius must be positive")
+        if not (math.isfinite(saddle_radius) and saddle_radius > 0.0):
+            raise ValueError("saddle_radius must be positive and finite")
         pert = data.get("perturbation")
         scale = data.get("perturbation_scale")
         if scale is not None:
@@ -146,7 +156,7 @@ class ExperimentConfig:
             num_inits=num_inits,
             init_lo=lo,
             init_hi=hi,
-            seed=int(data["seed"]),
+            seed=seed,
             saddle_radius=saddle_radius,
             perturbation=None if pert is None else np.asarray(pert, dtype=float),
             perturbation_scale=scale,

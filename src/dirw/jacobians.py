@@ -26,7 +26,6 @@ from .analysis import (
     hessian_norm,
     restricted_hessian,
     stationarity_residual,
-    support,
     symmetric_eigen,
     CLASS_STRICT_LOCAL_MIN,
     CLASS_STRICT_SADDLE,
@@ -36,6 +35,9 @@ from .solvers import eps_factor, solution_map
 
 #: Residual gate for treating a point as stationary in Jacobian builders.
 STATIONARY_GATE = 1e-6
+
+#: Eigenvalue magnitudes above 1 + INSTABILITY_DELTA make a fixed point unstable.
+INSTABILITY_DELTA = 1e-10
 
 
 @dataclass
@@ -82,48 +84,57 @@ class FixedPointJacobian:
         }
 
 
-def _l2_scaling(prob, x_star, act, beta):
-    """Positive diagonal P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*| of the DIRL2 active block."""
-    xa = np.abs(x_star[act])
-    return 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
+def _active_block(prob, x_star, pattern, beta, algorithm):
+    """Restricted Hessian H, positive diagonal P and the eigenvalues of P^-1 H.
 
-
-def _scaled_eigenvalues(H, P):
-    """Eigenvalues of P^-1 H from the symmetric congruence P^-1/2 H P^-1/2."""
+    P = I for DIRL1. For DIRL2, P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*|,
+    and the eigenvalues come from the symmetric congruence P^-1/2 H P^-1/2,
+    which shares them.
+    """
+    act = list(pattern.active)
+    H = restricted_hessian(prob, x_star, pattern)
+    if not act:
+        return H, np.ones(0), np.zeros(0)
+    if algorithm == "DIRL1":
+        P = np.ones(len(act))
+    else:
+        xa = np.abs(x_star[act])
+        P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
     inv_sqrt = 1.0 / np.sqrt(P)
     vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
-    return vals
+    return H, P, vals
 
 
-def _require_stationary(prob, x_star, tol_support, gate):
-    report = stationarity_residual(prob, x_star, tol_support, tol_residual=gate)
+def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
+    """DT at (x*, 0): active block I - (alpha/beta) P^-1 H, with P = I for DIRL1.
+
+    Only DIRL1 couples the active block to eps, through r''(|x_i*|).
+    """
+    x_star = np.asarray(x_star, dtype=float)
+    report = stationarity_residual(prob, x_star, tol_residual=STATIONARY_GATE)
     if not report.is_stationary:
         raise NonStationaryPointError(
             f"fixed-point Jacobian needs a stationary point; "
             f"residual={report.residual_active:.3e}",
             residual=report.residual_active,
         )
-    return report.pattern
-
-
-def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
-                   tol_support=1e-10, gate=STATIONARY_GATE):
-    """DT of the damped weighted-l1 map at (x*, 0)."""
-    x_star = np.asarray(x_star, dtype=float)
-    pattern = _require_stationary(prob, x_star, tol_support, gate)
+    pattern = report.pattern
     act, inact = list(pattern.active), list(pattern.inactive)
+    if algorithm == "DIRL2" and inact and math.isfinite(prob.reg.derivative_at_zero_plus()):
+        raise ValueError(
+            "weighted-l2 fixed-point Jacobian requires r'(0+) = inf or an "
+            "empty inactive set"
+        )
     n = prob.dimension
-    H = restricted_hessian(prob, x_star, pattern)
+    H, P, vals = _active_block(prob, x_star, pattern, beta, algorithm)
     hess_f = prob.hessian_smooth(x_star)
-    vals, _ = symmetric_eigen(H) if act else (np.zeros(0), None)
-    block = np.eye(len(act)) - (alpha / beta) * H
-    off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)]
-    if act:
+    block = np.eye(len(act)) - (alpha / beta) * (H / P[:, None])
+    off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)] / P[:, None]
+    off_Ieps = np.zeros(len(act))
+    if algorithm == "DIRL1" and act:
         xa = x_star[act]
         rpp = np.atleast_1d(prob.reg.second_derivative(np.abs(xa)))
         off_Ieps = -(alpha / beta) * prob.lam * rpp * np.sign(xa)
-    else:
-        off_Ieps = np.zeros(0)
     scalar_eps = eps_factor(alpha, mu, eps_decay)
     spectrum = np.sort(
         np.concatenate(
@@ -133,7 +144,7 @@ def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
         )
     )
     return FixedPointJacobian(
-        algorithm="DIRL1",
+        algorithm=algorithm,
         dimension=n,
         active=tuple(act),
         inactive=tuple(inact),
@@ -146,8 +157,12 @@ def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
     )
 
 
-def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
-                   tol_support=1e-10, gate=STATIONARY_GATE):
+def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
+    """DT of the damped weighted-l1 map at (x*, 0)."""
+    return _stationary_jacobian("DIRL1", prob, x_star, alpha, beta, mu, eps_decay)
+
+
+def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
     """DT of the damped weighted-l2 map at (x*, 0).
 
     Valid when r'(0+) = inf or the inactive set is empty (otherwise x*
@@ -156,46 +171,7 @@ def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped",
     P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*|; its eigenvalues are computed
     through the symmetric congruence P^-1/2 H P^-1/2, which shares them.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    pattern = _require_stationary(prob, x_star, tol_support, gate)
-    act, inact = list(pattern.active), list(pattern.inactive)
-    if inact and math.isfinite(prob.reg.derivative_at_zero_plus()):
-        raise ValueError(
-            "weighted-l2 fixed-point Jacobian requires r'(0+) = inf or an "
-            "empty inactive set"
-        )
-    n = prob.dimension
-    H = restricted_hessian(prob, x_star, pattern)
-    hess_f = prob.hessian_smooth(x_star)
-    if act:
-        P = _l2_scaling(prob, x_star, act, beta)
-        vals = _scaled_eigenvalues(H, P)
-        block = np.eye(len(act)) - (alpha / beta) * (H / P[:, None])
-        off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)] / P[:, None]
-    else:
-        vals = np.zeros(0)
-        block = np.zeros((0, 0))
-        off_IJ = np.zeros((0, len(inact)))
-    scalar_eps = eps_factor(alpha, mu, eps_decay)
-    spectrum = np.sort(
-        np.concatenate(
-            [1.0 - (alpha / beta) * vals,
-             np.full(len(inact), 1.0 - alpha),
-             np.full(n, scalar_eps)]
-        )
-    )
-    return FixedPointJacobian(
-        algorithm="DIRL2",
-        dimension=n,
-        active=tuple(act),
-        inactive=tuple(inact),
-        block_II=block,
-        off_IJ=off_IJ,
-        off_Ieps=np.zeros(len(act)),
-        scalar_J=1.0 - alpha,
-        scalar_eps=scalar_eps,
-        spectrum=spectrum,
-    )
+    return _stationary_jacobian("DIRL2", prob, x_star, alpha, beta, mu, eps_decay)
 
 
 def finite_difference_jacobian(map_fn, point, h=1e-6, columns=None):
@@ -226,85 +202,60 @@ def finite_difference_jacobian(map_fn, point, h=1e-6, columns=None):
     return np.column_stack(out)
 
 
-def dirl1_full_jacobian(problem, config, x, eps):
-    """Analytic DT of the damped weighted-l1 map at a smooth point.
-
-    Requires every coordinate to be away from the two kink sets: x_i = 0
-    (weight kink) and |x_i - grad_i/beta| = lam*w_i/beta (threshold kink).
-    Zero rows are produced for coordinates thresholded to zero.
-    """
-    n = problem.dimension
-    x = np.asarray(x, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    alpha, beta, lam = config.alpha, config.beta, problem.lam
-    grad = problem.gradient_smooth(x)
-    hess = problem.hessian_smooth(x)
-    t = np.abs(x) + eps
-    w = np.atleast_1d(problem.reg.derivative(t))
-    rpp = np.atleast_1d(problem.reg.second_derivative(t))
-    z = x - grad / beta
-    on = np.abs(z) > lam * w / beta
-
-    ds_x = np.where(on[:, None], np.eye(n) - hess / beta, 0.0)
-    diag_extra = np.where(on, -np.sign(z) * (lam / beta) * rpp * np.sign(x), 0.0)
-    ds_x[np.diag_indices(n)] += diag_extra
-    ds_eps = np.diag(np.where(on, -np.sign(z) * (lam / beta) * rpp, 0.0))
-
-    full = np.zeros((2 * n, 2 * n))
-    full[:n, :n] = (1.0 - alpha) * np.eye(n) + alpha * ds_x
-    full[:n, n:] = alpha * ds_eps
-    full[n:, n:] = config.eps_factor * np.eye(n)
-    return full
-
-
-def dirl2_full_jacobian(problem, config, x, eps):
-    """Analytic DT of the damped weighted-l2 map at any point.
-
-    Uses g(z) = z / (z + (lam/beta) r'(z)) so that
-    y_i = g(z_i) (x_i - grad_i/beta) with z_i = sqrt(x_i^2 + eps_i^2);
-    rows with z_i = 0 vanish (g(0) = 0 and g'(0) = 0 under the
-    weighted-l2 smoothness condition).
-    """
-    n = problem.dimension
-    x = np.asarray(x, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    alpha, beta, lam = config.alpha, config.beta, problem.lam
-    grad = problem.gradient_smooth(x)
-    hess = problem.hessian_smooth(x)
-    z = np.hypot(x, eps)
-    pos = z > 0.0
-    g = np.zeros(n)
-    gp = np.zeros(n)
-    rp = np.atleast_1d(problem.reg.derivative(z[pos]))
-    rpp = np.atleast_1d(problem.reg.second_derivative(z[pos]))
-    denom = z[pos] + (lam / beta) * rp
-    g[pos] = z[pos] / denom
-    gp[pos] = -(lam / beta) * (rpp * z[pos] - rp) / denom**2
-    c = x - grad / beta
-
-    ds_x = g[:, None] * (np.eye(n) - hess / beta)
-    with np.errstate(invalid="ignore"):
-        xi_over_z = np.where(pos, x / np.where(pos, z, 1.0), 0.0)
-        ei_over_z = np.where(pos, eps / np.where(pos, z, 1.0), 0.0)
-    ds_x[np.diag_indices(n)] += gp * xi_over_z * c
-    ds_eps = np.diag(gp * ei_over_z * c)
-
-    full = np.zeros((2 * n, 2 * n))
-    full[:n, :n] = (1.0 - alpha) * np.eye(n) + alpha * ds_x
-    full[:n, n:] = alpha * ds_eps
-    full[n:, n:] = config.eps_factor * np.eye(n)
-    return full
-
-
 def full_jacobian(problem, config, x, eps):
+    """Analytic DT of the damped one-step map at (x, eps).
+
+    DIRL1 requires every coordinate to be away from the two kink sets:
+    x_i = 0 (weight kink) and |x_i - grad_i/beta| = lam*w_i/beta
+    (threshold kink); coordinates thresholded to zero give zero rows.
+    DIRL2 holds at any point: with g(z) = z / (z + (lam/beta) r'(z)),
+    y_i = g(z_i) (x_i - grad_i/beta) and z_i = sqrt(x_i^2 + eps_i^2); rows
+    with z_i = 0 vanish (g(0) = 0 and g'(0) = 0 under the weighted-l2
+    smoothness condition).
+    """
+    n = problem.dimension
+    x = np.asarray(x, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    alpha, beta, lam = config.alpha, config.beta, problem.lam
+    grad = problem.gradient_smooth(x)
+    hess = problem.hessian_smooth(x)
     if config.algorithm == "DIRL1":
-        return dirl1_full_jacobian(problem, config, x, eps)
-    return dirl2_full_jacobian(problem, config, x, eps)
+        t = np.abs(x) + eps
+        w = np.atleast_1d(problem.reg.derivative(t))
+        rpp = np.atleast_1d(problem.reg.second_derivative(t))
+        z = x - grad / beta
+        on = np.abs(z) > lam * w / beta
+        ds_x = np.where(on[:, None], np.eye(n) - hess / beta, 0.0)
+        d_eps = np.where(on, -np.sign(z) * (lam / beta) * rpp, 0.0)
+        ds_x[np.diag_indices(n)] += d_eps * np.sign(x)
+    else:
+        z = np.hypot(x, eps)
+        pos = z > 0.0
+        g = np.zeros(n)
+        gp = np.zeros(n)
+        rp = np.atleast_1d(problem.reg.derivative(z[pos]))
+        rpp = np.atleast_1d(problem.reg.second_derivative(z[pos]))
+        denom = z[pos] + (lam / beta) * rp
+        g[pos] = z[pos] / denom
+        gp[pos] = -(lam / beta) * (rpp * z[pos] - rp) / denom**2
+        c = x - grad / beta
+        ds_x = g[:, None] * (np.eye(n) - hess / beta)
+        with np.errstate(invalid="ignore"):
+            xi_over_z = np.where(pos, x / np.where(pos, z, 1.0), 0.0)
+            ei_over_z = np.where(pos, eps / np.where(pos, z, 1.0), 0.0)
+        ds_x[np.diag_indices(n)] += gp * xi_over_z * c
+        d_eps = gp * ei_over_z * c
+
+    full = np.zeros((2 * n, 2 * n))
+    full[:n, :n] = (1.0 - alpha) * np.eye(n) + alpha * ds_x
+    full[:n, n:] = alpha * np.diag(d_eps)
+    full[n:, n:] = config.eps_factor * np.eye(n)
+    return full
 
 
-def unstable_fixed_point_check(jac, delta=1e-10):
-    """True iff some eigenvalue magnitude strictly exceeds 1 + delta."""
-    return bool(np.any(np.abs(jac.spectrum) > 1.0 + delta))
+def unstable_fixed_point_check(jac):
+    """True iff some eigenvalue magnitude strictly exceeds 1 + INSTABILITY_DELTA."""
+    return bool(np.any(np.abs(jac.spectrum) > 1.0 + INSTABILITY_DELTA))
 
 
 @dataclass
@@ -320,31 +271,21 @@ class EquivalenceReport:
     detail: str
 
 
-def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm,
-                                rho_empirical=None, tol_support=1e-10):
+def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     """Cross-check the saddle label against fixed-point instability.
 
     A strict saddle must be an unstable fixed point; a strict local
     minimum with alpha < beta/rho must have every active-block eigenvalue
     magnitude below 1. Any mismatch is reported, not raised.
     """
-    report = classify_stationary_point(prob, x_star, tol_support=tol_support)
-    if algorithm == "DIRL1":
-        jac = dirl1_jacobian(prob, x_star, alpha, beta, mu, tol_support=tol_support)
-    else:
-        jac = dirl2_jacobian(prob, x_star, alpha, beta, mu, tol_support=tol_support)
+    report = classify_stationary_point(prob, x_star)
+    jacobian = dirl1_jacobian if algorithm == "DIRL1" else dirl2_jacobian
+    jac = jacobian(prob, x_star, alpha, beta, mu)
     unstable = unstable_fixed_point_check(jac)
-    if jac.active:
-        H = restricted_hessian(prob, np.asarray(x_star, float), report.pattern)
-        if algorithm == "DIRL1":
-            vals, _ = symmetric_eigen(H)
-        else:
-            P = _l2_scaling(prob, np.asarray(x_star, float), list(jac.active), beta)
-            vals = _scaled_eigenvalues(H, P)
-        block_vals = 1.0 - (alpha / beta) * vals
-    else:
-        block_vals = np.zeros(0)
-    rho = rho_empirical if rho_empirical is not None else hessian_norm(report)
+    x_star = np.asarray(x_star, dtype=float)
+    _, _, vals = _active_block(prob, x_star, report.pattern, beta, algorithm)
+    block_vals = 1.0 - (alpha / beta) * vals
+    rho = hessian_norm(report)
     alpha_ok = rho == 0.0 or alpha < beta / rho
     if report.classification == CLASS_STRICT_SADDLE:
         consistent = unstable

@@ -18,13 +18,11 @@ from .problems import benchmark2d
 from .regularizers import Regularizer
 from .solvers import (
     SolverConfig,
-    dirl1_subproblem,
     dirl1_weights,
-    dirl2_subproblem,
-    dirl2_weights,
     fixed_point_map,
     run,
     soft_threshold,
+    solution_map,
 )
 
 DEFAULT_REGULARIZERS = (
@@ -137,13 +135,8 @@ def check_fixed_point_consistency():
         config = SolverConfig(algorithm)
         trace = run(config, prob, np.array([3.0, 3.0]))
         x = trace.final_x
-        grad = prob.gradient_smooth(x)
-        if algorithm == "DIRL1":
-            w = dirl1_weights(x, np.zeros_like(x), prob.reg)
-            y = dirl1_subproblem(x, grad, w, config.beta, prob.lam)
-        else:
-            u = dirl2_weights(x, np.zeros_like(x), prob.reg)
-            y = dirl2_subproblem(x, grad, u, config.beta, prob.lam)
+        S = solution_map(config, prob)
+        y = S(np.concatenate([x, np.zeros_like(x)]))[: x.size]
         gap = float(np.linalg.norm(x - y))
         if gap > 10.0 * config.tol_step:
             return _result(

@@ -215,8 +215,18 @@ class SolveTrace:
     config: SolverConfig = None
 
 
-def _perturbed_value(config, problem, x, eps):
-    if config.algorithm == "DIRL1":
+def _model(algorithm, problem, x, eps, beta):
+    """Gradient at x and the minimizer y of the reweighted model around x."""
+    grad = problem.gradient_smooth(x)
+    if algorithm == "DIRL1":
+        w = dirl1_weights(x, eps, problem.reg)
+        return grad, dirl1_subproblem(x, grad, w, beta, problem.lam)
+    u = dirl2_weights(x, eps, problem.reg)
+    return grad, dirl2_subproblem(x, grad, u, beta, problem.lam)
+
+
+def _perturbed_value(algorithm, problem, x, eps):
+    if algorithm == "DIRL1":
         return problem.perturbed_value_l1(x, eps)
     return problem.perturbed_value_l2(x, eps)
 
@@ -239,14 +249,12 @@ def _descent_check(F_old, F_new, k):
         )
 
 
-def dirl1_step(state, config, problem):
-    """One damped weighted-l1 step; asserts descent of F(x, eps)."""
-    grad = problem.gradient_smooth(state.x)
-    w = dirl1_weights(state.x, state.eps, problem.reg)
-    y = dirl1_subproblem(state.x, grad, w, config.beta, problem.lam)
+def _step(algorithm, state, config, problem):
+    """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps)."""
+    grad, y = _model(algorithm, problem, state.x, state.eps, config.beta)
     x_new = (1.0 - config.alpha) * state.x + config.alpha * y
     eps_new = config.eps_factor * state.eps
-    F_new = problem.perturbed_value_l1(x_new, eps_new)
+    F_new = _perturbed_value(algorithm, problem, x_new, eps_new)
     _descent_check(state.F_perturbed, F_new, state.k + 1)
     return IterateState(
         k=state.k + 1,
@@ -257,26 +265,16 @@ def dirl1_step(state, config, problem):
         step_norm=float(np.max(np.abs(x_new - state.x))),
         prox_center_inf=float(np.max(np.abs(state.x - grad / config.beta))),
     )
+
+
+def dirl1_step(state, config, problem):
+    """One damped weighted-l1 step; asserts descent of F(x, eps)."""
+    return _step("DIRL1", state, config, problem)
 
 
 def dirl2_step(state, config, problem):
     """One damped weighted-l2 step; asserts descent of F(x, eps)."""
-    grad = problem.gradient_smooth(state.x)
-    u = dirl2_weights(state.x, state.eps, problem.reg)
-    y = dirl2_subproblem(state.x, grad, u, config.beta, problem.lam)
-    x_new = (1.0 - config.alpha) * state.x + config.alpha * y
-    eps_new = config.eps_factor * state.eps
-    F_new = problem.perturbed_value_l2(x_new, eps_new)
-    _descent_check(state.F_perturbed, F_new, state.k + 1)
-    return IterateState(
-        k=state.k + 1,
-        x=x_new,
-        eps=eps_new,
-        y=y,
-        F_perturbed=F_new,
-        step_norm=float(np.max(np.abs(x_new - state.x))),
-        prox_center_inf=float(np.max(np.abs(state.x - grad / config.beta))),
-    )
+    return _step("DIRL2", state, config, problem)
 
 
 @dataclass
@@ -289,6 +287,13 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.hard_errors
+
+
+def _lipeomorphism_lhs(config, problem, L, L_r):
+    """alpha (2 + L/beta + lam L_r/beta + mu); below 1 the iteration map is bi-Lipschitz."""
+    return config.alpha * (
+        2.0 + L / config.beta + problem.lam / config.beta * L_r + config.mu
+    )
 
 
 def validate_config(config, problem):
@@ -313,9 +318,8 @@ def validate_config(config, problem):
 
     reg = problem.reg
     if reg.lipschitz_at_zero:
-        L_r = abs(reg.second_derivative_at_zero_plus())
-        lhs = config.alpha * (
-            2.0 + L / config.beta + problem.lam / config.beta * L_r + config.mu
+        lhs = _lipeomorphism_lhs(
+            config, problem, L, abs(reg.second_derivative_at_zero_plus())
         )
         report.lipeomorphism_lhs = lhs
         if lhs >= 1.0:
@@ -345,7 +349,7 @@ def validate_config(config, problem):
 def make_initial_state(config, problem, x0):
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
-    F0 = _perturbed_value(config, problem, x0, eps)
+    F0 = _perturbed_value(config.algorithm, problem, x0, eps)
     _check_finite(F0, 0)
     return IterateState(
         k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf
@@ -376,9 +380,7 @@ def _post_run_diagnostics(config, problem, L, C):
             return diag
     except ValueError:
         return diag
-    lhs = config.alpha * (
-        2.0 + L / config.beta + problem.lam / config.beta * L_r + config.mu
-    )
+    lhs = _lipeomorphism_lhs(config, problem, L, L_r)
     diag["weight_curvature_bound"] = L_r
     diag["lipeomorphism_lhs"] = lhs
     diag["lipeomorphism_ok"] = lhs < 1.0
@@ -465,34 +467,6 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     )
 
 
-def fixed_point_map(config, problem):
-    """The one-step map T on R^(2n) acting on stacked (x, eps) vectors.
-
-    Used for finite-difference Jacobian checks; performs no descent
-    bookkeeping. The DIRL2 map accepts negative eps entries (it depends on
-    eps only through eps^2); the DIRL1 map requires |x_i| + eps_i >= 0.
-    """
-    n = problem.dimension
-    alpha, beta, lam = config.alpha, config.beta, problem.lam
-    factor = config.eps_factor
-
-    def apply(v):
-        v = np.asarray(v, dtype=float)
-        x, eps = v[:n], v[n:]
-        grad = problem.gradient_smooth(x)
-        if config.algorithm == "DIRL1":
-            y = dirl1_subproblem(
-                x, grad, dirl1_weights(x, eps, problem.reg), beta, lam
-            )
-        else:
-            y = dirl2_subproblem(
-                x, grad, dirl2_weights(x, eps, problem.reg), beta, lam
-            )
-        return np.concatenate([(1.0 - alpha) * x + alpha * y, factor * eps])
-
-    return apply
-
-
 def solution_map(config, problem):
     """The undamped subproblem map S on R^(2n): (x, eps) -> (y, mu*eps).
 
@@ -500,21 +474,33 @@ def solution_map(config, problem):
     so its smoothness and Lipschitz behaviour can be probed directly.
     """
     n = problem.dimension
-    beta, lam, mu = config.beta, problem.lam, config.mu
+    algorithm, beta, mu = config.algorithm, config.beta, config.mu
 
     def apply(v):
         v = np.asarray(v, dtype=float)
         x, eps = v[:n], v[n:]
-        grad = problem.gradient_smooth(x)
-        if config.algorithm == "DIRL1":
-            y = dirl1_subproblem(
-                x, grad, dirl1_weights(x, eps, problem.reg), beta, lam
-            )
-        else:
-            y = dirl2_subproblem(
-                x, grad, dirl2_weights(x, eps, problem.reg), beta, lam
-            )
+        _, y = _model(algorithm, problem, x, eps, beta)
         return np.concatenate([y, mu * eps])
+
+    return apply
+
+
+def fixed_point_map(config, problem):
+    """The one-step map T on R^(2n): (x, eps) -> ((1-alpha) x + alpha y, factor*eps).
+
+    The same map that dirl1_step/dirl2_step iterate, without the descent
+    bookkeeping; the Jacobians in ``jacobians`` differentiate it. The DIRL2
+    map accepts negative eps entries (it depends on eps only through
+    eps^2); the DIRL1 map requires |x_i| + eps_i >= 0.
+    """
+    n = problem.dimension
+    alpha, factor = config.alpha, config.eps_factor
+    S = solution_map(config, problem)
+
+    def apply(v):
+        v = np.asarray(v, dtype=float)
+        y = S(v)[:n]
+        return np.concatenate([(1.0 - alpha) * v[:n] + alpha * y, factor * v[n:]])
 
     return apply
 

@@ -198,6 +198,56 @@ def test_experiment_config_rejects_bad_perturbation_scale(tmp_path, scale):
         ExperimentConfig.from_dict(data)
 
 
+def _reloaded(tmp_path, **overrides):
+    """An experiment config after a JSON round trip (inf/nan as Infinity/NaN)."""
+    with open(experiment(tmp_path, **overrides)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_experiment_config_rejects_bad_saddle_radius(tmp_path, radius):
+    with pytest.raises(ValueError, match="saddle_radius"):
+        ExperimentConfig.from_dict(_reloaded(tmp_path, saddle_radius=radius))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_inits", float("inf")),
+    ("num_inits", 3.9),
+    ("num_inits", 3.0),
+    ("num_inits", True),
+    ("seed", 1.7),
+    ("seed", False),
+    ("seed", "11"),
+])
+def test_experiment_config_rejects_non_integer_counts(tmp_path, field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(_reloaded(tmp_path, **{field: value}))
+
+
+@pytest.mark.parametrize("box", [
+    [[float("-inf"), -3], [3, 3]],
+    [[-3, -3], [3, float("inf")]],
+    [[-3, float("nan")], [3, 3]],
+])
+def test_experiment_config_rejects_non_finite_init_box(tmp_path, box):
+    with pytest.raises(ValueError, match="init_box"):
+        ExperimentConfig.from_dict(_reloaded(tmp_path, init_box=box))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("saddle_radius", float("nan")),
+    ("num_inits", float("inf")),
+    ("seed", 1.7),
+    ("init_box", [[-3, -3], [float("inf"), 3]]),
+])
+def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
+    cfg = experiment(tmp_path, **{field: value})
+    assert main(["escape", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
 def test_escape_counts_non_finite_start_as_failed(tmp_path):
     exp = ExperimentConfig.from_dict({
         "problem": "benchmark2d",

@@ -17,9 +17,11 @@ from dirw.solvers import (
     dirl2_step,
     dirl2_subproblem,
     dirl2_weights,
+    fixed_point_map,
     make_initial_state,
     run,
     soft_threshold,
+    solution_map,
     trace_states_to_jsonl,
     trace_to_csv,
     validate_config,
@@ -119,6 +121,36 @@ def test_damped_interpolation_is_exact(bench, rng):
         new = dirl1_step(state, config, bench)
         assert np.allclose(new.x, (1 - 0.2) * state.x + 0.2 * new.y, atol=1e-16)
         state = new
+
+
+def _small_least_squares():
+    gen = np.random.default_rng(7)
+    A = gen.normal(0.0, 1.0 / np.sqrt(6), (6, 4))
+    return Problem(SmoothTerm("least_squares", A, gen.normal(size=6)),
+                   Regularizer("LPN", 0.5), 0.1)
+
+
+@pytest.mark.parametrize("eps_decay", ["damped", "geometric"])
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+@pytest.mark.parametrize("problem", ["benchmark2d", "least_squares"])
+def test_step_iterates_the_analysed_map(problem, algorithm, eps_decay, rng):
+    """run()'s step is bitwise the map T that the Jacobians analyse; y is S's x-part."""
+    prob = benchmark2d() if problem == "benchmark2d" else _small_least_squares()
+    config = SolverConfig(algorithm, eps_decay=eps_decay)
+    step = dirl1_step if algorithm == "DIRL1" else dirl2_step
+    T = fixed_point_map(config, prob)
+    S = solution_map(config, prob)
+    n = prob.dimension
+    for _ in range(5):
+        state = make_initial_state(config, prob, rng.uniform(-3, 3, n))
+        for _ in range(20):
+            v = np.concatenate([state.x, state.eps])
+            new = step(state, config, prob)
+            Tv = T(v)
+            assert np.array_equal(new.x, Tv[:n])
+            assert np.array_equal(new.eps, Tv[n:])
+            assert np.array_equal(new.y, S(v)[:n])
+            state = new
 
 
 def test_descent_violation_raises(bench):
