@@ -101,6 +101,13 @@ def parse_x0(spec, n, seed):
     return x0
 
 
+def _float_array(key, value):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must hold numbers: {exc}") from exc
+
+
 def _integer_field(data, key):
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -136,15 +143,24 @@ class ExperimentConfig:
         if num_inits < 1:
             raise ValueError("num_inits must be >= 1")
         seed = _integer_field(data, "seed")
-        lo, hi = data["init_box"]
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        try:
+            lo, hi = data["init_box"]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"init_box must be a pair [lo, hi], got {data['init_box']!r}"
+            ) from exc
+        lo = np.atleast_1d(_float_array("init_box", lo))
+        hi = np.atleast_1d(_float_array("init_box", hi))
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("init_box bounds must be finite")
         saddle_radius = float(data.get("saddle_radius", 1e-3))
         if not (math.isfinite(saddle_radius) and saddle_radius > 0.0):
             raise ValueError("saddle_radius must be positive and finite")
         pert = data.get("perturbation")
+        if pert is not None:
+            pert = _float_array("perturbation", pert)
+            if not np.all(np.isfinite(pert)):
+                raise ValueError("perturbation must be finite")
         scale = data.get("perturbation_scale")
         if scale is not None:
             scale = float(scale)
@@ -158,12 +174,18 @@ class ExperimentConfig:
             init_hi=hi,
             seed=seed,
             saddle_radius=saddle_radius,
-            perturbation=None if pert is None else np.asarray(pert, dtype=float),
+            perturbation=pert,
             perturbation_scale=scale,
         )
 
 
 def _broadcast_box(exp, n):
+    for bound in (exp.init_lo, exp.init_hi):
+        if np.ndim(bound) > 1 or np.size(bound) not in (1, n):
+            raise ValueError(
+                f"init_box bounds must have 1 or {n} entries (the problem "
+                f"dimension), got shape {np.shape(bound)}"
+            )
     lo = np.broadcast_to(exp.init_lo, (n,)).astype(float)
     hi = np.broadcast_to(exp.init_hi, (n,)).astype(float)
     if np.any(lo >= hi):

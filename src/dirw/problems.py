@@ -113,7 +113,7 @@ class Problem:
             raise ValueError(
                 f"x has shape {x.shape}, expected ({self.dimension},)"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("x must be finite")
         return x
 
@@ -123,13 +123,14 @@ class Problem:
             eps = np.full_like(x, float(eps))
         if eps.shape != x.shape:
             raise ValueError("eps must have the same length as x")
-        if np.any(eps < 0.0) or not np.all(np.isfinite(eps)):
+        if not ((eps >= 0.0) & (eps < math.inf)).all():  # NaN fails both
             raise ValueError("eps must be nonnegative and finite")
         return eps
 
     def penalty_value(self, t):
         """lambda * sum_i r(t_i) for nonnegative t."""
-        return self.lam * float(np.sum(self.reg.value(t)))
+        r = self.reg.value(t)  # a float for scalar t
+        return self.lam * float(r.sum() if isinstance(r, np.ndarray) else np.sum(r))
 
     def objective_value(self, x):
         """F(x) = f(x) + lambda * sum_i r(|x_i|)."""

@@ -26,13 +26,13 @@ FAMILIES = ("EXP", "LOG", "FRA", "LPN", "TAN")
 def _prepare(t, positive):
     """Validate the evaluation point(s) and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("evaluation point must be finite")
-    if positive:
-        if np.any(arr <= 0.0):
-            raise ValueError("evaluation point must be > 0")
-    elif np.any(arr < 0.0):
-        raise ValueError("evaluation point must be >= 0")
+    in_domain = arr > 0.0 if positive else arr >= 0.0
+    if not (in_domain & (arr < math.inf)).all():  # NaN fails both comparisons
+        if not np.isfinite(arr).all():
+            raise ValueError("evaluation point must be finite")
+        raise ValueError(
+            "evaluation point must be > 0" if positive else "evaluation point must be >= 0"
+        )
     return arr, arr.ndim == 0
 
 

@@ -47,7 +47,7 @@ def soft_threshold(z, w):
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0) or np.any(np.isnan(w)):
+    if not (w >= 0.0).all():  # NaN fails the comparison too
         raise ValueError("thresholds must be nonnegative")
     return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
 
@@ -59,11 +59,13 @@ def dirl1_weights(x, eps, reg):
     the eps = 0 analysis path since the solver keeps eps > 0.
     """
     t = np.abs(np.asarray(x, dtype=float)) + np.asarray(eps, dtype=float)
-    if np.any(t < 0.0):
+    pos = t > 0.0
+    if t.ndim and pos.all():  # the solver's case: eps > 0 keeps every t_i > 0
+        return reg.derivative(t)
+    if (t < 0.0).any():
         raise ValueError("|x_i| + eps_i must be nonnegative")
     w = np.full(t.shape, reg.derivative_at_zero_plus())
-    pos = t > 0.0
-    if np.any(pos):
+    if pos.any():
         w[pos] = np.atleast_1d(reg.derivative(t[pos]))
     return w
 
@@ -76,9 +78,11 @@ def dirl1_subproblem(x, grad, w, beta, lam):
 def dirl2_weights(x, eps, reg):
     """u_i = r'(z_i) / (2 z_i) with z_i = sqrt(x_i^2 + eps_i^2); inf at z_i = 0."""
     z = np.hypot(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
-    u = np.full(z.shape, math.inf)
     pos = z > 0.0
-    if np.any(pos):
+    if z.ndim and pos.all():
+        return reg.derivative(z) / (2.0 * z)
+    u = np.full(z.shape, math.inf)
+    if pos.any():
         u[pos] = np.atleast_1d(reg.derivative(z[pos])) / (2.0 * z[pos])
     return u
 
@@ -87,7 +91,7 @@ def dirl2_subproblem(x, grad, u, beta, lam):
     """Minimizer of the weighted-l2 model; u_i = inf pins coordinate i to 0."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(np.isnan(u)):
+    if not (u >= 0.0).all():  # NaN fails the comparison too
         raise ValueError("weights must be nonnegative")
     return np.where(np.isinf(u), 0.0, (x - grad / beta) / (1.0 + (2.0 * lam / beta) * u))
 
@@ -216,8 +220,12 @@ class SolveTrace:
 
 
 def _model(algorithm, problem, x, eps, beta):
-    """Gradient at x and the minimizer y of the reweighted model around x."""
-    grad = problem.gradient_smooth(x)
+    """Gradient at x and the minimizer y of the reweighted model around x.
+
+    x is not checked here: the maps check it first, and ``_step`` gets it
+    from the objective call that accepted it.
+    """
+    grad = problem.smooth.gradient(x)
     if algorithm == "DIRL1":
         w = dirl1_weights(x, eps, problem.reg)
         return grad, dirl1_subproblem(x, grad, w, beta, problem.lam)
@@ -250,20 +258,38 @@ def _descent_check(F_old, F_new, k):
 
 
 def _step(algorithm, state, config, problem):
-    """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps)."""
-    grad, y = _model(algorithm, problem, state.x, state.eps, config.beta)
-    x_new = (1.0 - config.alpha) * state.x + config.alpha * y
-    eps_new = config.eps_factor * state.eps
-    F_new = _perturbed_value(algorithm, problem, x_new, eps_new)
-    _descent_check(state.F_perturbed, F_new, state.k + 1)
+    """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
+
+    The objective call that produced ``state`` has checked its x, and the
+    objective call here checks the new x and eps, so each array is checked
+    once per iteration. A step that overflows raises NumericalFailure.
+    """
+    x, k = state.x, state.k + 1
+    try:
+        grad, y = _model(algorithm, problem, x, state.eps, config.beta)
+        x_new = (1.0 - config.alpha) * x + config.alpha * y
+        eps_new = config.eps_factor * state.eps
+        step_norm = float(np.abs(x_new - x).max())
+        # An eps that broadcasts x to another shape is left to the objective.
+        if not math.isfinite(step_norm) and x_new.shape == np.shape(x):
+            raise NumericalFailure(
+                f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
+            )
+        F_new = _perturbed_value(algorithm, problem, x_new, eps_new)
+    except (NumericalFailure, TypeError, ValueError):
+        # Only a state built by hand can hold a bad x; name the bad x rather
+        # than the error it caused further on.
+        problem.check_vector(x)
+        raise
+    _descent_check(state.F_perturbed, F_new, k)
     return IterateState(
-        k=state.k + 1,
+        k=k,
         x=x_new,
         eps=eps_new,
         y=y,
         F_perturbed=F_new,
-        step_norm=float(np.max(np.abs(x_new - state.x))),
-        prox_center_inf=float(np.max(np.abs(state.x - grad / config.beta))),
+        step_norm=step_norm,
+        prox_center_inf=float(np.abs(x - grad / config.beta).max()),
     )
 
 
@@ -361,7 +387,7 @@ def _record(state):
         k=state.k,
         F_perturbed=state.F_perturbed,
         step_norm=state.step_norm,
-        eps_inf=float(np.max(state.eps)),
+        eps_inf=float(state.eps.max()),
         support_bits=analysis.support(state.y).bits,
     )
 
@@ -423,7 +449,8 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     while state.k < config.max_iter:
         prev = state
         state = step_fn(prev, config, problem)
-        sum_sq_steps += float(np.sum((state.x - prev.x) ** 2))
+        dx = state.x - prev.x
+        sum_sq_steps += float((dx * dx).sum())
         C = max(C, state.prox_center_inf)
         tail.append(state.x.copy())
         if len(tail) > TAIL_WINDOW:
@@ -432,7 +459,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
             xs.append(state.x.copy())
             eps_history.append(state.eps.copy())
         small_steps = small_steps + 1 if state.step_norm <= config.tol_step else 0
-        done = small_steps >= 10 and float(np.max(state.eps)) <= config.tol_eps
+        done = small_steps >= 10 and float(state.eps.max()) <= config.tol_eps
         if state.k % record_every == 0 or done or state.k == config.max_iter:
             records.append(_record(state))
         if done:
@@ -478,7 +505,7 @@ def solution_map(config, problem):
 
     def apply(v):
         v = np.asarray(v, dtype=float)
-        x, eps = v[:n], v[n:]
+        x, eps = problem.check_vector(v[:n]), v[n:]
         _, y = _model(algorithm, problem, x, eps, beta)
         return np.concatenate([y, mu * eps])
 

@@ -239,6 +239,9 @@ def test_experiment_config_rejects_non_finite_init_box(tmp_path, box):
     ("num_inits", float("inf")),
     ("seed", 1.7),
     ("init_box", [[-3, -3], [float("inf"), 3]]),
+    ("init_box", [[-3, -3], [3, 3], [4, 4]]),  # three rows
+    ("init_box", [[-3, -3, -3], [3, 3, 3]]),  # three wide on a 2-D problem
+    ("perturbation", [float("nan"), 0.0]),
 ])
 def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
     cfg = experiment(tmp_path, **{field: value})

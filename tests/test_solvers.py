@@ -183,6 +183,53 @@ def test_objective_overflow_during_run_raises():
     assert err.value.iteration >= 1
 
 
+def _one_d_concave():
+    return Problem(SmoothTerm("quadratic", [[-1.0]], [0.0]), Regularizer("LOG", 1.0), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("step", [dirl1_step, dirl2_step])
+def test_non_finite_step_raises_typed_failure(step):
+    # f = -x^2/2 doubles x in the model step at beta = 1: y = 2x overflows.
+    algorithm = "DIRL1" if step is dirl1_step else "DIRL2"
+    config = SolverConfig(algorithm, beta=1.0)
+    x = np.array([1.5e308])
+    state = IterateState(k=4, x=x, eps=np.ones(1), y=x, F_perturbed=-math.inf,
+                         step_norm=1.0)
+    with pytest.raises(NumericalFailure, match="step is not finite") as err:
+        step(state, config, _one_d_concave())
+    assert err.value.iteration == 5
+
+
+@pytest.mark.parametrize("step", [dirl1_step, dirl2_step])
+@pytest.mark.parametrize("x, message", [
+    (np.array([np.nan, 1.0]), "x must be finite"),
+    (np.array([np.inf, 1.0]), "x must be finite"),
+    (np.array([1.0, 2.0, 3.0]), r"x has shape \(3,\), expected \(2,\)"),
+    (np.array([[1.0, 2.0]]), r"x has shape \(1, 2\), expected \(2,\)"),
+])
+def test_step_rejects_bad_state_x(bench, step, x, message):
+    """The loop does not check x again, but a hand-built bad state is still refused."""
+    config = SolverConfig("DIRL1" if step is dirl1_step else "DIRL2")
+    state = IterateState(k=0, x=x, eps=np.ones(2), y=x, F_perturbed=1.0, step_norm=1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        step(state, config, bench)
+
+
+@pytest.mark.parametrize("make_map", [solution_map, fixed_point_map])
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+@pytest.mark.parametrize("v, message", [
+    ([np.nan, 1.0, 1.0, 1.0], "x must be finite"),
+    ([1.0, -np.inf, 1.0, 1.0], "x must be finite"),
+    ([1.0], r"x has shape \(1,\), expected \(2,\)"),
+    (np.ones((2, 2)), r"x has shape \(2, 2\), expected \(2,\)"),
+])
+def test_maps_reject_bad_x(bench, make_map, algorithm, v, message):
+    apply = make_map(SolverConfig(algorithm), bench)
+    with pytest.raises(ValueError, match=message):
+        apply(v)
+
+
 def test_dirl2_weights():
     reg = Regularizer("LPN", 0.5)
     assert dirl2_weights(np.array([1.0]), np.zeros(1), reg)[0] == pytest.approx(0.25)
