@@ -29,7 +29,7 @@ from .analysis import (
     hessian_norm,
     stationarity_residual,
 )
-from .errors import ConfigValidationError, NonStationaryPointError, NumericalFailure
+from .errors import NonStationaryPointError, NumericalFailure, integer, real, real_array
 from .jacobians import estimate_map_lipschitz
 from .problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
 from .solvers import (
@@ -95,24 +95,10 @@ def parse_x0(spec, n, seed):
         values = json.loads(text)
     else:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
-    x0 = np.asarray(values, dtype=float)
+    x0 = real_array("x0", values)
     if x0.shape != (n,):
         raise ValueError(f"x0 has {x0.size} entries, problem dimension is {n}")
     return x0
-
-
-def _float_array(key, value):
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{key} must hold numbers: {exc}") from exc
-
-
-def _integer_field(data, key):
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass
@@ -132,49 +118,35 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data):
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment config must be a JSON object, got {data!r}")
         for key in ExperimentConfig.REQUIRED:
             if key not in data:
                 raise ValueError(f"experiment config missing field {key!r}")
         unknown = set(data) - set(ExperimentConfig.REQUIRED + ExperimentConfig.OPTIONAL)
         if unknown:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        solver = SolverConfig.from_dict(data["solver"])
-        num_inits = _integer_field(data, "num_inits")
-        if num_inits < 1:
-            raise ValueError("num_inits must be >= 1")
-        seed = _integer_field(data, "seed")
-        try:
-            lo, hi = data["init_box"]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"init_box must be a pair [lo, hi], got {data['init_box']!r}"
-            ) from exc
-        lo = np.atleast_1d(_float_array("init_box", lo))
-        hi = np.atleast_1d(_float_array("init_box", hi))
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("init_box bounds must be finite")
-        saddle_radius = float(data.get("saddle_radius", 1e-3))
-        if not (math.isfinite(saddle_radius) and saddle_radius > 0.0):
-            raise ValueError("saddle_radius must be positive and finite")
+        if not isinstance(data["problem"], str):
+            raise ValueError(f"problem must be a path or a built-in name, got {data['problem']!r}")
+        box = data["init_box"]
+        if not (isinstance(box, (list, tuple)) and len(box) == 2):
+            raise ValueError(f"init_box must be a pair [lo, hi], got {box!r}")
+        lo, hi = (np.atleast_1d(real_array("init_box", bound)) for bound in box)
         pert = data.get("perturbation")
-        if pert is not None:
-            pert = _float_array("perturbation", pert)
-            if not np.all(np.isfinite(pert)):
-                raise ValueError("perturbation must be finite")
         scale = data.get("perturbation_scale")
         if scale is not None:
-            scale = float(scale)
-            if not (math.isfinite(scale) and scale >= 0.0):
-                raise ValueError("perturbation_scale must be finite and >= 0")
+            scale = real("perturbation_scale", scale)
+            if scale < 0.0:
+                raise ValueError(f"perturbation_scale must be >= 0, got {scale!r}")
         return ExperimentConfig(
             problem_spec=data["problem"],
-            solver=solver,
-            num_inits=num_inits,
+            solver=SolverConfig.from_dict(data["solver"]),
+            num_inits=integer("num_inits", data["num_inits"], 1),
             init_lo=lo,
             init_hi=hi,
-            seed=seed,
-            saddle_radius=saddle_radius,
-            perturbation=pert,
+            seed=integer("seed", data["seed"]),
+            saddle_radius=real("saddle_radius", data.get("saddle_radius", 1e-3), 0.0),
+            perturbation=None if pert is None else real_array("perturbation", pert),
             perturbation_scale=scale,
         )
 
@@ -212,7 +184,7 @@ def run_escape(exp, workers=1):
     n = problem.dimension
     perturbation = exp.perturbation
     if perturbation is None and exp.perturbation_scale:
-        s = float(exp.perturbation_scale)
+        s = exp.perturbation_scale
         perturbation = make_rng(exp.seed, "perturbation").uniform(-s, s, n)
     if perturbation is not None:
         problem = problem.perturbed_linearly(perturbation)
@@ -323,7 +295,7 @@ def cmd_solve(args):
         for line in report.warnings:
             print(f"warning: {line}", file=sys.stderr)
         trace = run(config, problem, x0, trace_full=args.trace_full)
-    except (ValueError, ConfigValidationError, NumericalFailure, OSError) as exc:
+    except (ValueError, NumericalFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .errors import real, real_array
 from .regularizers import FAMILIES, Regularizer
 
 SMOOTH_KINDS = ("quadratic", "least_squares")
@@ -34,21 +35,15 @@ class SmoothTerm:
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
             raise ValueError(f"unknown smooth term kind {kind!r}")
-        A = _frozen(np.atleast_2d(A))
-        b = _frozen(np.atleast_1d(b))
-        c = float(c)
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b)) and math.isfinite(c)):
-            raise ValueError("smooth term data must be finite")
-        if kind == "quadratic":
-            if A.shape[0] != A.shape[1]:
-                raise ValueError("A must be square for a quadratic term")
-            if not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
-                raise ValueError("A must be symmetric within 1e-12")
-            if b.shape[0] != A.shape[0]:
-                raise ValueError("b length must match A")
-        else:
-            if b.shape[0] != A.shape[0]:
-                raise ValueError("b length must match the row count of A")
+        A = _frozen(np.atleast_2d(real_array("A", A)))
+        b = _frozen(np.atleast_1d(real_array("b", b)))
+        c = real("c", c)
+        if A.ndim != 2 or (kind == "quadratic" and A.shape[0] != A.shape[1]):
+            raise ValueError(f"A must be a matrix, square for a quadratic term, got {A.shape}")
+        if b.shape != A.shape[:1]:
+            raise ValueError(f"b must have one entry per row of A, got {b.shape} for A {A.shape}")
+        if kind == "quadratic" and not np.allclose(A, A.T, rtol=0.0, atol=1e-12):
+            raise ValueError("A must be symmetric within 1e-12")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -93,9 +88,7 @@ class Problem:
     __slots__ = ("smooth", "reg", "lam")
 
     def __init__(self, smooth, reg, lam):
-        lam = float(lam)
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise ValueError("lambda must be positive and finite")
+        lam = real("lambda", lam, 0.0)
         object.__setattr__(self, "smooth", smooth)
         object.__setattr__(self, "reg", reg)
         object.__setattr__(self, "lam", lam)
@@ -233,29 +226,22 @@ def problem_from_dict(data):
     _require(isinstance(data, dict), "<root>", "expected a JSON object")
     for key in ("smooth", "regularizer", "lambda"):
         _require(key in data, key, "missing")
-    sm = data["smooth"]
+    sm, rg = data["smooth"], data["regularizer"]
     _require(isinstance(sm, dict), "smooth", "expected an object")
     for key in ("kind", "A", "b"):
         _require(key in sm, f"smooth.{key}", "missing")
     _require(sm["kind"] in SMOOTH_KINDS, "kind", f"must be one of {SMOOTH_KINDS}")
-    try:
-        smooth = SmoothTerm(sm["kind"], sm["A"], sm["b"], sm.get("c", 0.0))
-    except ValueError as exc:
-        # Constructor messages lead with the offending matrix/vector name.
-        field = str(exc).split()[0] if str(exc)[:1] in "Ab" else "smooth"
-        raise ValueError(f"invalid problem file: field {field!r}: {exc}") from exc
-    rg = data["regularizer"]
     _require(isinstance(rg, dict), "regularizer", "expected an object")
     for key in ("family", "p"):
         _require(key in rg, f"regularizer.{key}", "missing")
     _require(rg["family"] in FAMILIES, "family", f"must be one of {FAMILIES}")
     try:
-        reg = Regularizer(rg["family"], rg["p"])
+        smooth = SmoothTerm(sm["kind"], sm["A"], sm["b"], sm.get("c", 0.0))
+        return Problem(smooth, Regularizer(rg["family"], rg["p"]), data["lambda"])
     except ValueError as exc:
-        raise ValueError(f"invalid problem file: field 'p': {exc}") from exc
-    lam = data["lambda"]
-    _require(type(lam) in (int, float) and lam > 0, "lambda", "must be a number > 0")
-    return Problem(smooth, reg, lam)
+        # Every constructor message leads with the name of the offending field.
+        field = str(exc).split()[0]
+        raise ValueError(f"invalid problem file: field {field!r}: {exc}") from exc
 
 
 def load_problem(path):

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import real
+
 FAMILIES = ("EXP", "LOG", "FRA", "LPN", "TAN")
 
 
@@ -56,11 +58,7 @@ class Regularizer:
     def __init__(self, family, p):
         if family not in FAMILIES:
             raise ValueError(f"unknown regularizer family {family!r}")
-        p = float(p)
-        if not math.isfinite(p) or p <= 0.0:
-            raise ValueError("p must be positive and finite")
-        if family == "LPN" and not 0.0 < p < 1.0:
-            raise ValueError("p must satisfy 0 < p < 1 for the LPN family")
+        p = real("p", p, 0.0, 1.0 if family == "LPN" else math.inf)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "p", p)
 

@@ -22,12 +22,12 @@ of the smooth term); this is asserted at every step.
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import analysis
-from .errors import ConfigValidationError, NumericalFailure
+from .errors import ConfigValidationError, NumericalFailure, integer, real, real_array
 from .regularizers import check_assumption4, derivative_inverse
 
 ALGORITHMS = ("DIRL1", "DIRL2")
@@ -103,12 +103,13 @@ def eps_factor(alpha, mu, eps_decay):
     return mu
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm choice and iteration parameters.
+    """Algorithm choice and iteration parameters, read and range-checked once.
 
     ``beta > alpha * L / 2`` is additionally required at solve start, where
     L is the gradient Lipschitz constant of the problem's smooth term.
+    ``eps0`` is stored as a float or a tuple of floats.
     """
 
     algorithm: str
@@ -124,62 +125,51 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
         if self.eps_decay not in EPS_DECAY_MODES:
             raise ValueError(f"eps_decay must be one of {EPS_DECAY_MODES}")
-        eps0 = np.asarray(self.eps0, dtype=float)
-        if np.any(eps0 <= 0.0) or not np.all(np.isfinite(eps0)):
-            raise ValueError("eps0 must be positive elementwise")
-        if (
-            isinstance(self.max_iter, bool)
-            or not isinstance(self.max_iter, (int, np.integer))
-            or self.max_iter < 0
-        ):
-            raise ValueError("max_iter must be a non-negative integer")
-        if not all(t > 0.0 and math.isfinite(t) for t in (self.tol_step, self.tol_eps)):
-            raise ValueError("tolerances must be positive and finite")
+        eps0 = real_array("eps0", self.eps0)
+        if eps0.ndim > 1 or not (eps0 > 0.0).all():
+            raise ValueError("eps0 must be a positive number or a list of them")
+        read = {
+            "alpha": real("alpha", self.alpha, 0.0, 1.0),
+            "beta": real("beta", self.beta, 0.0),
+            "mu": real("mu", self.mu, 0.0, 1.0),
+            "eps0": float(eps0) if eps0.ndim == 0 else tuple(eps0.tolist()),
+            "max_iter": integer("max_iter", self.max_iter, 0),
+            "tol_step": real("tol_step", self.tol_step, 0.0),
+            "tol_eps": real("tol_eps", self.tol_eps, 0.0),
+        }
+        for name, value in read.items():
+            object.__setattr__(self, name, value)
 
     @property
     def eps_factor(self):
         return eps_factor(self.alpha, self.mu, self.eps_decay)
 
     def initial_eps(self, n):
-        eps = np.asarray(self.eps0, dtype=float)
-        if eps.ndim == 0:
-            return np.full(n, float(eps))
-        if eps.shape != (n,):
+        if isinstance(self.eps0, float):
+            return np.full(n, self.eps0)
+        if len(self.eps0) != n:
             raise ValueError("eps0 length must match the problem dimension")
-        return eps.copy()
+        return np.array(self.eps0)
 
     def to_dict(self):
-        eps0 = np.asarray(self.eps0, dtype=float)
-        return {
-            "algorithm": self.algorithm,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "mu": self.mu,
-            "eps0": float(eps0) if eps0.ndim == 0 else eps0.tolist(),
-            "eps_decay": self.eps_decay,
-            "max_iter": self.max_iter,
-            "tol_step": self.tol_step,
-            "tol_eps": self.tol_eps,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(d):
-        known = {
-            "algorithm", "alpha", "beta", "mu", "eps0", "eps_decay",
-            "max_iter", "tol_step", "tol_eps",
-        }
-        unknown = set(d) - known
+    @classmethod
+    def from_dict(cls, d):
+        """The config from parsed JSON; every error starts with 'solver config:'."""
+        if not isinstance(d, dict):
+            raise ValueError(f"solver config: expected a JSON object, got {d!r}")
+        unknown = d.keys() - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-        return SolverConfig(**d)
+            raise ValueError(f"solver config: unknown fields: {sorted(unknown)}")
+        if "algorithm" not in d:
+            raise ValueError("solver config: missing field 'algorithm'")
+        try:
+            return cls(**d)
+        except ValueError as exc:
+            raise ValueError(f"solver config: {exc}") from exc
 
 
 @dataclass
@@ -323,23 +313,19 @@ def _lipeomorphism_lhs(config, problem, L, L_r):
 
 
 def validate_config(config, problem):
-    """Check the hard parameter bounds and collect non-blocking warnings.
+    """Check the hard parameter bound and collect non-blocking warnings.
 
-    Hard errors: alpha or mu outside (0, 1), or beta <= alpha * L / 2.
+    The one hard error is beta <= alpha * L / 2; ``SolverConfig`` has
+    already checked each field's own range (alpha and mu in (0, 1)).
     Warnings cover the invertibility-related inequalities that are either
     violated or cannot be evaluated before solving.
     """
     L = problem.estimate_lipschitz_gradient()
     report = ValidationReport(lipschitz_gradient=L)
-    if not 0.0 < config.alpha < 1.0:
-        report.hard_errors.append(f"alpha={config.alpha} outside (0, 1)")
-    if not 0.0 < config.mu < 1.0:
-        report.hard_errors.append(f"mu={config.mu} outside (0, 1)")
     if config.beta <= config.alpha * L / 2.0:
         report.hard_errors.append(
             f"beta={config.beta} must exceed alpha*L/2={config.alpha * L / 2.0}"
         )
-    if report.hard_errors:
         return report
 
     reg = problem.reg

@@ -67,6 +67,14 @@ def test_solve_exit_1_on_bad_problem_file(tmp_path, capsys):
     assert main(["solve", "--problem", bad, "--x0", "0,0"]) == 1
 
 
+def test_solve_exit_1_on_mistyped_config(tmp_path, capsys):
+    cfg = write_json(tmp_path / "s.json", {"algorithm": "DIRL1", "beta": "4"})
+    assert main(["solve", "--config", cfg, "--x0", "0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver config: beta ")
+    assert "Traceback" not in err
+
+
 def test_solve_trace_full_writes_states(tmp_path, solver_cfg):
     out = tmp_path / "full"
     code = main(["solve", "--config", solver_cfg, "--x0", "1,1",
@@ -87,6 +95,13 @@ def test_classify_examples(capsys, saddle_x2):
     out = json.loads(capsys.readouterr().out)
     assert out["stationarity"]["is_stationary"] is False
     assert "saddle" not in out
+
+
+@pytest.mark.parametrize("x0", ["[0, true]", "[0, null]", '[0, "1"]', "[0, [1]]", "0,nan"])
+def test_classify_exits_one_on_non_numeric_x0(capsys, x0):
+    assert main(["classify", "--x0", x0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 must hold finite numbers only")
 
 
 def test_escape_counts_partition(tmp_path, capsys):
@@ -242,6 +257,15 @@ def test_experiment_config_rejects_non_finite_init_box(tmp_path, box):
     ("init_box", [[-3, -3], [3, 3], [4, 4]]),  # three rows
     ("init_box", [[-3, -3, -3], [3, 3, 3]]),  # three wide on a 2-D problem
     ("perturbation", [float("nan"), 0.0]),
+    ("saddle_radius", [1]),
+    ("solver", 5),
+    ("solver", {"algorithm": "DIRL1", "beta": "4"}),
+    ("solver", {"algorithm": "DIRL1", "tol_step": None}),
+    ("perturbation_scale", True),
+    ("saddle_radius", True),
+    ("saddle_radius", "0.1"),
+    ("problem", 12345),  # open() takes an int as a file descriptor; no live one here
+    ("init_box", [[True, -3], [3, 3]]),  # numpy casts the bool to 1
 ])
 def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
     cfg = experiment(tmp_path, **{field: value})

@@ -11,6 +11,7 @@ from dirw.problems import (
     SmoothTerm,
     benchmark2d,
     load_problem,
+    problem_from_dict,
 )
 from dirw.regularizers import Regularizer
 
@@ -197,6 +198,25 @@ def test_load_problem_rejects_boolean_lambda(tmp_path, bench):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="lambda"):
         load_problem(path)
+
+
+@pytest.mark.parametrize("section, update, field", [
+    ("regularizer", {"p": "0.5"}, "p"),
+    ("regularizer", {"family": "EXP", "p": True}, "p"),
+    ("regularizer", {"p": [0.5]}, "p"),
+    ("smooth", {"c": "1"}, "c"),
+    ("smooth", {"c": [1]}, "c"),
+    ("smooth", {"A": [["2", "0"], ["0", "2"]]}, "A"),
+    ("smooth", {"A": [[True, False], [False, True]]}, "A"),
+    ("smooth", {"b": ["0", "-2.5"]}, "b"),
+    ("smooth", {"b": [False, True]}, "b"),
+    ("smooth", {"b": [[0.0], [-2.5]]}, "b"),  # a matrix where a vector belongs
+])
+def test_problem_from_dict_rejects_mistyped_field(bench, section, update, field):
+    data = bench.to_dict()
+    data[section].update(update)
+    with pytest.raises(ValueError, match=f"invalid problem file: field '{field}'"):
+        problem_from_dict(data)
 
 
 def test_benchmark_stationary_roots(saddle_x2):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -387,6 +388,8 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("alpha", math.nan), ("beta", math.inf), ("beta", math.nan),
     ("mu", math.inf), ("tol_step", math.inf), ("tol_eps", math.nan),
+    ("beta", "4"), ("beta", True), ("mu", [0.3]), ("tol_step", None),
+    ("tol_eps", [1e-10]), ("eps0", True), ("eps0", "1"), ("eps0", [1.0, True]),
 ])
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match="finite|lie in"):
@@ -398,6 +401,14 @@ def test_solver_config_rejects_non_integer_max_iter(value):
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig("DIRL1", max_iter=value)
     assert SolverConfig("DIRL1", max_iter=np.int64(5)).max_iter == 5
+
+
+def test_solver_config_is_frozen_and_typed():
+    cfg = SolverConfig.from_dict({"algorithm": "DIRL2", "beta": 4, "eps0": [1, 2]})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.alpha = 0.5
+    assert type(cfg.beta) is float and cfg.eps0 == (1.0, 2.0)
+    assert SolverConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_eps_strictly_decreasing(bench):
