@@ -1,7 +1,7 @@
 """Splittable counter-based random streams for reproducible experiments.
 
 Every consumer derives its own Philox stream from (seed, purpose, index),
-so results are independent of evaluation order and worker count.
+so results do not depend on the order in which the streams are drawn.
 """
 
 import numpy as np

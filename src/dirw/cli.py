@@ -4,7 +4,7 @@ Subcommands::
 
     dirw solve     --config cfg.json --problem benchmark2d --x0 3,3 --out run1
     dirw classify  --problem benchmark2d --x0 0,1
-    dirw escape    --config experiment.json --out escape.json --workers 4
+    dirw escape    --config experiment.json --out escape.json
     dirw selfcheck
 
 Exit codes: solve returns 0 on convergence, 2 when the iteration budget is
@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +86,11 @@ def parse_x0(spec, n, seed):
     if spec == "zeros":
         return np.zeros(n)
     if spec == "uniform" or spec.startswith("uniform:"):
-        s = int(spec.split(":", 1)[1]) if ":" in spec else int(seed)
+        if spec == "uniform":
+            s = integer("--seed", seed, 0)
+        else:
+            text = spec[len("uniform:"):]
+            s = integer("--x0 uniform:<seed>", int(text) if text.isdecimal() else text, 0)
         lo, hi = DEFAULT_INIT_BOX
         return make_rng(s, "x0").uniform(lo, hi, n)
     text = spec.strip()
@@ -144,7 +147,7 @@ class ExperimentConfig:
             num_inits=integer("num_inits", data["num_inits"], 1),
             init_lo=lo,
             init_hi=hi,
-            seed=integer("seed", data["seed"]),
+            seed=integer("seed", data["seed"], 0),
             saddle_radius=real("saddle_radius", data.get("saddle_radius", 1e-3), 0.0),
             perturbation=None if pert is None else real_array("perturbation", pert),
             perturbation_scale=scale,
@@ -173,12 +176,19 @@ def _classify_label(problem, point):
         return "Unclassified"
 
 
-def run_escape(exp, workers=1):
+def _norms(d):
+    """Euclidean norms over the last axis of ``d``, each equal to the bit to
+    ``np.linalg.norm`` of that row (the sqrt of a dot product);
+    ``norm(axis=...)`` and ``einsum`` sum in another order."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def run_escape(exp):
     """Run the seeded multi-start experiment and aggregate basin statistics.
 
-    Deterministic for a fixed (config, seed) regardless of ``workers``:
-    every initialization draws from its own counter-based stream and
-    aggregation happens in initialization order.
+    One serial pass in initialization order: every start draws from its own
+    counter-based stream, is solved, and its limit joins the nearest
+    cluster within CLUSTER_RADIUS (the first on a tie) or opens a new one.
     """
     problem = resolve_problem(exp.problem_spec)
     n = problem.dimension
@@ -190,79 +200,53 @@ def run_escape(exp, workers=1):
         problem = problem.perturbed_linearly(perturbation)
     lo, hi = _broadcast_box(exp, n)
 
-    clusters = []
+    points = np.empty((0, n))
     if exp.problem_spec == "benchmark2d" and perturbation is None:
         # The benchmark's stationary set is known in closed form.
-        for pt in BENCHMARK2D_STATIONARY:
-            point = np.asarray(pt, dtype=float)
-            clusters.append(
-                {"point": point, "label": _classify_label(problem, point), "count": 0}
-            )
+        points = np.array(BENCHMARK2D_STATIONARY, dtype=float)
+    labels = [_classify_label(problem, point) for point in points]
+    counts = [0] * len(points)
 
-    def solve_one(i):
+    records, solved = [], []
+    for i in range(exp.num_inits):
         x0 = lo + (hi - lo) * make_rng(exp.seed, "init", i).random(n)
         try:
             trace = run(exp.solver, problem, x0, record_every=1_000_000_000)
-            return i, x0, trace, None
         except NumericalFailure as exc:
-            return i, x0, None, str(exc)
-
-    indices = range(exp.num_inits)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, indices))
-    else:
-        results = [solve_one(i) for i in indices]
-
-    records = []
-    failed = 0
-    for i, x0, trace, err in results:
-        if err is not None:
-            failed += 1
-            records.append(
-                {"init_index": i, "init": x0, "error": err, "basin": "failed"}
-            )
+            records.append({"init_index": i, "init": x0, "error": str(exc), "basin": "failed"})
             continue
         limit = trace.limit_x
-        best, best_dist = None, math.inf
-        for j, cluster in enumerate(clusters):
-            d = float(np.linalg.norm(limit - cluster["point"]))
-            if d < best_dist:
-                best, best_dist = j, d
-        if best is None or best_dist > CLUSTER_RADIUS:
-            clusters.append(
-                {"point": limit.copy(), "label": _classify_label(problem, limit), "count": 0}
-            )
-            best = len(clusters) - 1
-            best_dist = 0.0
-        clusters[best]["count"] += 1
-        records.append(
-            {
-                "init_index": i,
-                "init": x0,
-                "final_x": trace.final_x,
-                "limit_x": limit,
-                "converged": trace.converged,
-                "residual": trace.final_residual,
-                "basin": f"cluster_{best}",
-                "nearest_known_point": clusters[best]["point"],
-                "distance": best_dist,
-            }
-        )
+        dist = _norms(limit - points)
+        best = int(np.argmin(dist)) if dist.size else 0
+        distance = float(dist[best]) if dist.size else math.inf
+        if distance > CLUSTER_RADIUS:
+            best, distance = len(points), 0.0
+            points = np.vstack([points, limit])
+            labels.append(_classify_label(problem, limit))
+            counts.append(0)
+        counts[best] += 1
+        record = {
+            "init_index": i,
+            "init": x0,
+            "final_x": trace.final_x,
+            "limit_x": limit,
+            "converged": trace.converged,
+            "residual": trace.final_residual,
+            "basin": f"cluster_{best}",
+            "nearest_known_point": points[best],
+            "distance": distance,
+        }
+        records.append(record)
+        solved.append(record)
 
-    saddle_points = [c["point"] for c in clusters if c["label"] == CLASS_STRICT_SADDLE]
-    at_saddle = 0
-    for rec in records:
-        if "limit_x" not in rec:
-            continue
-        near = any(
-            float(np.linalg.norm(np.asarray(rec["limit_x"]) - p)) <= exp.saddle_radius
-            for p in saddle_points
-        )
-        rec["at_saddle"] = near
-        at_saddle += int(near)
+    saddles = points[[label == CLASS_STRICT_SADDLE for label in labels]]
+    limits = np.reshape([record["limit_x"] for record in solved], (-1, n))
+    near = (_norms(limits[:, None] - saddles) <= exp.saddle_radius).any(axis=1).tolist()
+    for record, flag in zip(solved, near):
+        record["at_saddle"] = flag
 
-    basins = {f"cluster_{j}": c["count"] for j, c in enumerate(clusters)}
+    failed = exp.num_inits - len(solved)
+    basins = {f"cluster_{j}": count for j, count in enumerate(counts)}
     if failed:
         basins["failed"] = failed
     return {
@@ -273,11 +257,11 @@ def run_escape(exp, workers=1):
         "problem": exp.problem_spec,
         "perturbation": perturbation,
         "clusters": [
-            {"point": c["point"], "label": c["label"], "count": c["count"]}
-            for c in clusters
+            {"point": point, "label": label, "count": count}
+            for point, label, count in zip(points, labels, counts)
         ],
         "basins": basins,
-        "fraction_at_saddle": at_saddle / exp.num_inits,
+        "fraction_at_saddle": sum(near) / exp.num_inits,
         "records": records,
     }
 
@@ -373,7 +357,7 @@ def cmd_escape(args):
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             exp = ExperimentConfig.from_dict(json.load(fh))
-        summary = run_escape(exp, workers=args.workers)
+        summary = run_escape(exp)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -425,7 +409,8 @@ def build_parser():
     escape = sub.add_parser("escape", help="seeded multi-start saddle-escape experiment")
     escape.add_argument("--config", required=True, help="experiment config JSON path")
     escape.add_argument("--out", help="summary JSON path (stdout if omitted)")
-    escape.add_argument("--workers", type=int, default=1)
+    escape.add_argument("--workers", type=int, choices=[1], default=1,
+                        help="always 1: starts are solved serially")
     escape.set_defaults(func=cmd_escape)
 
     check = sub.add_parser("selfcheck", help="run the built-in property suites")

@@ -317,14 +317,20 @@ def validate_config(config, problem):
 
     The one hard error is beta <= alpha * L / 2; ``SolverConfig`` has
     already checked each field's own range (alpha and mu in (0, 1)).
+    LAPACK's L is exact only to rounding, so this check raises it by a
+    margin at the eigensolver's backward-error scale, 4 m eps for the
+    order-m matrix that ``estimate_lipschitz_gradient`` hands to
+    ``eigvalsh`` (m = min(A.shape)); the report keeps the unraised L.
     Warnings cover the invertibility-related inequalities that are either
     violated or cannot be evaluated before solving.
     """
     L = problem.estimate_lipschitz_gradient()
     report = ValidationReport(lipschitz_gradient=L)
-    if config.beta <= config.alpha * L / 2.0:
+    L_upper = L * (1.0 + 4.0 * min(problem.smooth.A.shape) * np.finfo(float).eps)
+    if config.beta <= config.alpha * L_upper / 2.0:
         report.hard_errors.append(
-            f"beta={config.beta} must exceed alpha*L/2={config.alpha * L / 2.0}"
+            f"beta={config.beta} must exceed alpha*L/2={config.alpha * L_upper / 2.0} "
+            f"(L={L!r} plus its rounding margin)"
         )
         return report
 

@@ -1,10 +1,19 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dirw.cli import ExperimentConfig, main, parse_x0, run_escape
+from dirw.cli import (
+    CLUSTER_RADIUS,
+    ExperimentConfig,
+    _classify_label,
+    main,
+    parse_x0,
+    run_escape,
+)
+from dirw.problems import BENCHMARK2D_STATIONARY, benchmark2d
 
 
 def write_json(path, data):
@@ -104,6 +113,17 @@ def test_classify_exits_one_on_non_numeric_x0(capsys, x0):
     assert err.startswith("error: x0 must hold finite numbers only")
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--x0", "uniform:-3"], "--x0"),
+    (["--x0", "uniform:abc"], "--x0"),
+    (["--x0", "uniform", "--seed", "-2"], "--seed"),
+])
+def test_solve_exits_one_on_bad_seed(capsys, args, flag):
+    assert main(["solve", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "Traceback" not in err
+
+
 def test_escape_counts_partition(tmp_path, capsys):
     out = tmp_path / "esc.json"
     code = main(["escape", "--config", experiment(tmp_path), "--out", str(out)])
@@ -115,13 +135,75 @@ def test_escape_counts_partition(tmp_path, capsys):
     assert "StrictSaddle" in labels  # injected analytic point
 
 
-def test_escape_deterministic_across_workers(tmp_path):
+def test_escape_is_deterministic_and_refuses_workers(tmp_path):
     cfg = experiment(tmp_path, num_inits=6)
-    out1, out2, out3 = (tmp_path / f"esc{i}.json" for i in range(3))
-    main(["escape", "--config", cfg, "--out", str(out1)])
-    main(["escape", "--config", cfg, "--out", str(out2)])
-    main(["escape", "--config", cfg, "--out", str(out3), "--workers", "3"])
-    assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
+    out1, out2 = tmp_path / "esc1.json", tmp_path / "esc2.json"
+    assert main(["escape", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["escape", "--config", cfg, "--out", str(out2), "--workers", "1"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["escape", "--config", cfg, "--workers", "3"])
+    assert exc.value.code == 2
+
+
+def _loop_aggregation(summary, saddle_radius):
+    """Cluster and saddle assignment by the per-record loops that
+    ``run_escape`` once used: the reference for its array version."""
+    problem = benchmark2d()
+    clusters = []
+    for pt in BENCHMARK2D_STATIONARY:
+        point = np.asarray(pt, dtype=float)
+        clusters.append({"point": point, "label": _classify_label(problem, point), "count": 0})
+    expected = []
+    for rec in summary["records"]:
+        limit = rec["limit_x"]
+        best, best_dist = None, math.inf
+        for j, cluster in enumerate(clusters):
+            d = float(np.linalg.norm(limit - cluster["point"]))
+            if d < best_dist:
+                best, best_dist = j, d
+        if best is None or best_dist > CLUSTER_RADIUS:
+            clusters.append(
+                {"point": limit.copy(), "label": _classify_label(problem, limit), "count": 0}
+            )
+            best, best_dist = len(clusters) - 1, 0.0
+        clusters[best]["count"] += 1
+        expected.append({"basin": f"cluster_{best}", "distance": best_dist,
+                         "nearest_known_point": clusters[best]["point"]})
+    saddle_points = [c["point"] for c in clusters if c["label"] == "StrictSaddle"]
+    for rec, exp in zip(summary["records"], expected):
+        exp["at_saddle"] = any(
+            float(np.linalg.norm(rec["limit_x"] - p)) <= saddle_radius for p in saddle_points
+        )
+    basins = {f"cluster_{j}": c["count"] for j, c in enumerate(clusters)}
+    fraction = sum(exp["at_saddle"] for exp in expected) / len(expected)
+    return expected, basins, fraction
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+@pytest.mark.parametrize("saddle_radius", [1e-3, 0.95])
+def test_run_escape_matches_loop_aggregation(algorithm, saddle_radius):
+    # 40 iterations leave the limits unconverged, so they open new clusters;
+    # they lie 0.82 to 1.02 from the saddle, so the wide radius splits them.
+    exp = ExperimentConfig.from_dict({
+        "problem": "benchmark2d",
+        "solver": {"algorithm": algorithm, "max_iter": 40},
+        "num_inits": 20,
+        "init_box": [[-3, -3], [3, 3]],
+        "seed": 7,
+        "saddle_radius": saddle_radius,
+    })
+    summary = run_escape(exp)
+    expected, basins, fraction = _loop_aggregation(summary, saddle_radius)
+    assert summary["basins"] == basins and summary["fraction_at_saddle"] == fraction
+    for rec, exp_rec in zip(summary["records"], expected):
+        assert rec["basin"] == exp_rec["basin"]
+        assert rec["distance"] == exp_rec["distance"]
+        assert np.array_equal(rec["nearest_known_point"], exp_rec["nearest_known_point"])
+        assert rec["at_saddle"] is exp_rec["at_saddle"]
+    assert len(basins) > len(BENCHMARK2D_STATIONARY)
+    assert any(rec["distance"] > 0.0 for rec in summary["records"])
+    assert 0.0 < fraction < 1.0 if saddle_radius > 0.5 else fraction == 0.0
 
 
 def test_escape_seed_changes_output(tmp_path):
@@ -266,6 +348,7 @@ def test_experiment_config_rejects_non_finite_init_box(tmp_path, box):
     ("saddle_radius", "0.1"),
     ("problem", 12345),  # open() takes an int as a file descriptor; no live one here
     ("init_box", [[True, -3], [3, 3]]),  # numpy casts the bool to 1
+    ("seed", -5),
 ])
 def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
     cfg = experiment(tmp_path, **{field: value})

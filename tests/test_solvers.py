@@ -341,6 +341,26 @@ def test_validate_config(bench):
         run(SolverConfig("DIRL1", alpha=0.99, beta=0.1), bench, np.zeros(2))
 
 
+def test_validate_config_checks_beta_against_an_upper_bound_on_L():
+    # L = 2 exactly on diag(2, 2); beta one ulp above alpha*L/2 passes an
+    # exact comparison but not one against L raised by LAPACK's rounding margin.
+    prob = Problem(
+        SmoothTerm("quadratic", np.diag([2.0, 2.0]), np.zeros(2)),
+        Regularizer("EXP", 1.0),
+        1.0,
+    )
+    alpha = 0.5
+    L = prob.estimate_lipschitz_gradient()
+    assert L == 2.0
+    beta = float(np.nextafter(alpha * L / 2.0, np.inf))
+    report = validate_config(SolverConfig("DIRL1", alpha=alpha, beta=beta), prob)
+    assert not report.ok and "rounding margin" in report.hard_errors[0]
+    assert report.lipschitz_gradient == L
+    with pytest.raises(ConfigValidationError):
+        run(SolverConfig("DIRL1", alpha=alpha, beta=beta), prob, np.zeros(2))
+    assert validate_config(SolverConfig("DIRL1", alpha=alpha, beta=1.001 * beta), prob).ok
+
+
 def test_validate_lipeomorphism_margin():
     # alpha (2 + L/beta + lam L_r / beta + mu) = 0.2 * 2.4 = 0.48 < 1
     prob = Problem(
