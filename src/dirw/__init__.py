@@ -10,7 +10,6 @@ from .errors import ConfigValidationError, NonStationaryPointError, NumericalFai
 from .regularizers import (
     CustomRegularizer,
     Regularizer,
-    RegularizerClass,
     check_assumption1,
     check_assumption4,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "NumericalFailure",
     "Problem",
     "Regularizer",
-    "RegularizerClass",
     "SaddleReport",
     "SmoothTerm",
     "SolveTrace",

@@ -120,7 +120,7 @@ def restricted_hessian(prob, x, pattern):
     idx = list(pattern.active)
     if not idx:
         return np.zeros((0, 0))
-    H = prob.hessian_smooth(x)[np.ix_(idx, idx)].copy()
+    H = prob.hessian_smooth()[np.ix_(idx, idx)].copy()
     rpp = np.atleast_1d(prob.reg.second_derivative(np.abs(x[idx])))
     H[np.diag_indices_from(H)] += prob.lam * rpp
     return H

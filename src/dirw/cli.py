@@ -94,10 +94,13 @@ def parse_x0(spec, n, seed):
         lo, hi = DEFAULT_INIT_BOX
         return make_rng(s, "x0").uniform(lo, hi, n)
     text = spec.strip()
-    if text.startswith("["):
-        values = json.loads(text)
-    else:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if text.startswith("["):
+            values = json.loads(text)
+        else:
+            values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"x0 must hold finite numbers only: {exc}") from exc
     x0 = real_array("x0", values)
     if x0.shape != (n,):
         raise ValueError(f"x0 has {x0.size} entries, problem dimension is {n}")
@@ -321,13 +324,13 @@ def cmd_solve(args):
     return 0 if trace.converged else 2
 
 
-def _tail_sample_points(trace, config, n, count=5):
-    """Stack (x, eps) pairs from the trace tail; eps is reconstructed from
-    the deterministic decay schedule."""
+def _tail_sample_points(trace, config, n):
+    """Stack up to five (x, eps) pairs from the trace tail; eps is
+    reconstructed from the deterministic decay schedule."""
     eps0 = config.initial_eps(n)
     points = []
     first_k = trace.iterations - (len(trace.tail) - 1)
-    picks = np.linspace(0, len(trace.tail) - 1, num=min(count, len(trace.tail)))
+    picks = np.linspace(0, len(trace.tail) - 1, num=min(5, len(trace.tail)))
     for idx in picks.astype(int):
         k = first_k + idx
         eps_k = eps0 * config.eps_factor**k

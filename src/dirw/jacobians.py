@@ -29,12 +29,10 @@ from .analysis import (
     symmetric_eigen,
     CLASS_STRICT_LOCAL_MIN,
     CLASS_STRICT_SADDLE,
+    RESIDUAL_TOL,
 )
 from .errors import NonStationaryPointError, NumericalFailure
 from .solvers import eps_factor, solution_map
-
-#: Residual gate for treating a point as stationary in Jacobian builders.
-STATIONARY_GATE = 1e-6
 
 #: Eigenvalue magnitudes above 1 + INSTABILITY_DELTA make a fixed point unstable.
 INSTABILITY_DELTA = 1e-10
@@ -56,19 +54,15 @@ class FixedPointJacobian:
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
         n = self.dimension
+        act = np.array(self.active, dtype=int)
+        inact = np.array(self.inactive, dtype=int)
+        r = np.arange(n)
         full = np.zeros((2 * n, 2 * n))
-        act = list(self.active)
-        inact = list(self.inactive)
-        if act:
-            full[np.ix_(act, act)] = self.block_II
-            if inact:
-                full[np.ix_(act, inact)] = self.off_IJ
-            for row, i in enumerate(act):
-                full[i, n + i] = self.off_Ieps[row]
-        for j in inact:
-            full[j, j] = self.scalar_J
-        for i in range(n):
-            full[n + i, n + i] = self.scalar_eps
+        full[np.ix_(act, act)] = self.block_II
+        full[np.ix_(act, inact)] = self.off_IJ
+        full[act, n + act] = self.off_Ieps
+        full[inact, inact] = self.scalar_J
+        full[n + r, n + r] = self.scalar_eps
         return full
 
     def to_dict(self):
@@ -111,7 +105,7 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
     Only DIRL1 couples the active block to eps, through r''(|x_i*|).
     """
     x_star = np.asarray(x_star, dtype=float)
-    report = stationarity_residual(prob, x_star, tol_residual=STATIONARY_GATE)
+    report = stationarity_residual(prob, x_star, tol_residual=RESIDUAL_TOL)
     if not report.is_stationary:
         raise NonStationaryPointError(
             f"fixed-point Jacobian needs a stationary point; "
@@ -127,7 +121,7 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         )
     n = prob.dimension
     H, P, vals = _active_block(prob, x_star, pattern, beta, algorithm)
-    hess_f = prob.hessian_smooth(x_star)
+    hess_f = prob.hessian_smooth()
     block = np.eye(len(act)) - (alpha / beta) * (H / P[:, None])
     off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)] / P[:, None]
     off_Ieps = np.zeros(len(act))
@@ -218,7 +212,7 @@ def full_jacobian(problem, config, x, eps):
     eps = np.asarray(eps, dtype=float)
     alpha, beta, lam = config.alpha, config.beta, problem.lam
     grad = problem.gradient_smooth(x)
-    hess = problem.hessian_smooth(x)
+    hess = problem.hessian_smooth()
     if config.algorithm == "DIRL1":
         t = np.abs(x) + eps
         w = np.atleast_1d(problem.reg.derivative(t))
@@ -309,7 +303,7 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     )
 
 
-def estimate_map_lipschitz(config, problem, points, h=1e-6):
+def estimate_map_lipschitz(config, problem, points):
     """Empirical Lipschitz constant of the subproblem map S.
 
     Maximum finite-difference Jacobian operator norm over the sampled
@@ -319,7 +313,7 @@ def estimate_map_lipschitz(config, problem, points, h=1e-6):
     S = solution_map(config, problem)
     best = 0.0
     for v in points:
-        J = finite_difference_jacobian(S, np.asarray(v, dtype=float), h)
+        J = finite_difference_jacobian(S, np.asarray(v, dtype=float))
         vals, _ = symmetric_eigen(J.T @ J)
         best = max(best, math.sqrt(max(float(vals[-1]), 0.0)))
     return best

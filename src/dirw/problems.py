@@ -145,7 +145,7 @@ class Problem:
     def gradient_smooth(self, x):
         return self.smooth.gradient(self.check_vector(x))
 
-    def hessian_smooth(self, x=None):
+    def hessian_smooth(self):
         # Hessian is constant for both smooth-term kinds.
         return self.smooth.hessian()
 

@@ -1,7 +1,8 @@
 """Concave sparsity-inducing penalties r(t) on t = |x_i| >= 0.
 
-Five built-in parametric families are provided, all continuous and concave
-on [0, inf) with r(0) = 0 and r'(t) >= 0:
+Each built-in family is one row of ``_ROWS``: r(t), r'(t), r''(t), r'(0+)
+and r''(0+) as functions of the parameter p. All are continuous and
+concave on [0, inf) with r(0) = 0 and r'(t) >= 0:
 
     EXP   r(t) = 1 - exp(-p t)
     LOG   r(t) = log(1 + p t)
@@ -9,20 +10,64 @@ on [0, inf) with r(0) = 0 and r'(t) >= 0:
     LPN   r(t) = t**p           (0 < p < 1)
     TAN   r(t) = arctan(t / p)
 
-They split into two classes by the one-sided derivative at zero: EXP, LOG,
-FRA and TAN have r'(0+) < inf (Lipschitz at zero), while LPN has
-r'(0+) = inf. The infinity is represented by ``math.inf`` and is expected
-by downstream weight computations.
+A :class:`CustomRegularizer` builds its row from callbacks; both share one
+implementation of every method. EXP, LOG, FRA and TAN have r'(0+) < inf
+(Lipschitz at zero), LPN has r'(0+) = ``math.inf``, which the weight
+computations expect; ``lipschitz_at_zero`` is ``isfinite(r'(0+))``.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import real
 
-FAMILIES = ("EXP", "LOG", "FRA", "LPN", "TAN")
+#: r, r', r'' as functions of (t, p) and r'(0+), r''(0+) as functions of p.
+_Row = namedtuple(
+    "_Row", "value derivative second_derivative derivative_at_zero second_derivative_at_zero"
+)
+
+_ROWS = {
+    "EXP": _Row(
+        lambda t, p: 1.0 - np.exp(-p * t),
+        lambda t, p: p * np.exp(-p * t),
+        lambda t, p: -(p**2) * np.exp(-p * t),
+        lambda p: p,
+        lambda p: -(p**2),
+    ),
+    "LOG": _Row(
+        lambda t, p: np.log1p(p * t),
+        lambda t, p: p / (1.0 + p * t),
+        lambda t, p: -(p**2) / (1.0 + p * t) ** 2,
+        lambda p: p,
+        lambda p: -(p**2),
+    ),
+    "FRA": _Row(
+        lambda t, p: t / (t + p),
+        lambda t, p: p / (t + p) ** 2,
+        lambda t, p: -2.0 * p / (t + p) ** 3,
+        lambda p: 1.0 / p,
+        lambda p: -2.0 / p**2,
+    ),
+    "LPN": _Row(
+        lambda t, p: t**p,
+        lambda t, p: p * t ** (p - 1.0),
+        lambda t, p: p * (p - 1.0) * t ** (p - 2.0),
+        lambda p: math.inf,
+        lambda p: -math.inf,
+    ),
+    "TAN": _Row(
+        lambda t, p: np.arctan(t / p),
+        lambda t, p: p / (t**2 + p**2),
+        lambda t, p: -2.0 * p * t / (t**2 + p**2) ** 2,
+        lambda p: 1.0 / p,
+        lambda p: 0.0,
+    ),
+}
+
+FAMILIES = tuple(_ROWS)
 
 
 def _prepare(t, positive):
@@ -42,7 +87,41 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
-class Regularizer:
+class _Penalty:
+    """The penalty contract, evaluated through ``self._row`` at ``self.p``."""
+
+    __slots__ = ()
+
+    def value(self, t):
+        """r(t) for t >= 0; r(0) = 0 for every family."""
+        t, scalar = _prepare(t, positive=False)
+        return _ret(self._row.value(t, self.p), scalar)
+
+    def derivative(self, t):
+        """r'(t) for t > 0; strictly positive on (0, inf)."""
+        t, scalar = _prepare(t, positive=True)
+        return _ret(self._row.derivative(t, self.p), scalar)
+
+    def second_derivative(self, t):
+        """r''(t) for t > 0; nonpositive on (0, inf) by concavity."""
+        t, scalar = _prepare(t, positive=True)
+        return _ret(self._row.second_derivative(t, self.p), scalar)
+
+    def derivative_at_zero_plus(self):
+        """r'(0+): p for EXP/LOG, 1/p for FRA/TAN, inf for LPN."""
+        return self._row.derivative_at_zero(self.p)
+
+    def second_derivative_at_zero_plus(self):
+        """r''(0+): -inf for LPN, 0 for TAN, finite negative otherwise."""
+        return self._row.second_derivative_at_zero(self.p)
+
+    @property
+    def lipschitz_at_zero(self):
+        """Whether r'(0+) is finite, which keeps the l1 weights bounded."""
+        return math.isfinite(self.derivative_at_zero_plus())
+
+
+class Regularizer(_Penalty):
     """One of the built-in penalty families, frozen after construction.
 
     Parameters
@@ -53,7 +132,7 @@ class Regularizer:
         Family parameter; must be positive, and inside (0, 1) for LPN.
     """
 
-    __slots__ = ("family", "p")
+    __slots__ = ("family", "p", "_row")
 
     def __init__(self, family, p):
         if family not in FAMILIES:
@@ -61,6 +140,7 @@ class Regularizer:
         p = real("p", p, 0.0, 1.0 if family == "LPN" else math.inf)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_row", _ROWS[family])
 
     def __setattr__(self, name, value):
         raise AttributeError("Regularizer is immutable")
@@ -78,85 +158,6 @@ class Regularizer:
     def __hash__(self):
         return hash((self.family, self.p))
 
-    def value(self, t):
-        """r(t) for t >= 0; r(0) = 0 for every family."""
-        t, scalar = _prepare(t, positive=False)
-        p = self.p
-        if self.family == "EXP":
-            out = 1.0 - np.exp(-p * t)
-        elif self.family == "LOG":
-            out = np.log1p(p * t)
-        elif self.family == "FRA":
-            out = t / (t + p)
-        elif self.family == "LPN":
-            out = t**p
-        else:  # TAN
-            out = np.arctan(t / p)
-        return _ret(out, scalar)
-
-    def derivative(self, t):
-        """r'(t) for t > 0; strictly positive on (0, inf)."""
-        t, scalar = _prepare(t, positive=True)
-        p = self.p
-        if self.family == "EXP":
-            out = p * np.exp(-p * t)
-        elif self.family == "LOG":
-            out = p / (1.0 + p * t)
-        elif self.family == "FRA":
-            out = p / (t + p) ** 2
-        elif self.family == "LPN":
-            out = p * t ** (p - 1.0)
-        else:  # TAN
-            out = p / (t**2 + p**2)
-        return _ret(out, scalar)
-
-    def second_derivative(self, t):
-        """r''(t) for t > 0; nonpositive on (0, inf) by concavity."""
-        t, scalar = _prepare(t, positive=True)
-        p = self.p
-        if self.family == "EXP":
-            out = -(p**2) * np.exp(-p * t)
-        elif self.family == "LOG":
-            out = -(p**2) / (1.0 + p * t) ** 2
-        elif self.family == "FRA":
-            out = -2.0 * p / (t + p) ** 3
-        elif self.family == "LPN":
-            out = p * (p - 1.0) * t ** (p - 2.0)
-        else:  # TAN
-            out = -2.0 * p * t / (t**2 + p**2) ** 2
-        return _ret(out, scalar)
-
-    def derivative_at_zero_plus(self):
-        """r'(0+): p for EXP/LOG, 1/p for FRA/TAN, inf for LPN."""
-        if self.family in ("EXP", "LOG"):
-            return self.p
-        if self.family in ("FRA", "TAN"):
-            return 1.0 / self.p
-        return math.inf
-
-    def second_derivative_at_zero_plus(self):
-        """r''(0+): -inf for LPN, 0 for TAN, finite negative otherwise."""
-        p = self.p
-        if self.family == "EXP":
-            return -(p**2)
-        if self.family == "LOG":
-            return -(p**2)
-        if self.family == "FRA":
-            return -2.0 / p**2
-        if self.family == "TAN":
-            return 0.0
-        return -math.inf
-
-    @property
-    def lipschitz_at_zero(self):
-        return self.family != "LPN"
-
-    def classify(self):
-        return RegularizerClass(
-            lipschitz_at_zero=self.lipschitz_at_zero,
-            derivative_at_zero=self.derivative_at_zero_plus(),
-        )
-
     def to_dict(self):
         return {"family": self.family, "p": self.p}
 
@@ -165,66 +166,34 @@ class Regularizer:
         return Regularizer(d["family"], d["p"])
 
 
-class CustomRegularizer:
+def _second_derivative_at_zero_missing(p):
+    raise ValueError("second_derivative_at_zero was not provided")
+
+
+class CustomRegularizer(_Penalty):
     """User-supplied penalty defined by callbacks, same contract as built-ins.
 
     The callbacks must implement a penalty satisfying the concavity and
     monotonicity conditions checked by :func:`check_assumption1`; nothing
-    is verified at construction time.
+    is verified at construction time. Its row ignores ``p``.
     """
 
     family = "CUSTOM"
+    p = None
 
-    def __init__(
-        self,
-        value,
-        derivative,
-        second_derivative,
-        derivative_at_zero,
-        second_derivative_at_zero=None,
-    ):
-        self._value = value
-        self._derivative = derivative
-        self._second_derivative = second_derivative
-        self._d0 = float(derivative_at_zero)
-        self._d20 = None if second_derivative_at_zero is None else float(second_derivative_at_zero)
-        if not self._d0 > 0.0:
+    def __init__(self, value, derivative, second_derivative, derivative_at_zero,
+                 second_derivative_at_zero=None):
+        d0 = float(derivative_at_zero)
+        d20 = None if second_derivative_at_zero is None else float(second_derivative_at_zero)
+        if not d0 > 0.0:
             raise ValueError("derivative_at_zero must be > 0")
-
-    def value(self, t):
-        t, scalar = _prepare(t, positive=False)
-        return _ret(np.vectorize(self._value, otypes=[float])(t), scalar)
-
-    def derivative(self, t):
-        t, scalar = _prepare(t, positive=True)
-        return _ret(np.vectorize(self._derivative, otypes=[float])(t), scalar)
-
-    def second_derivative(self, t):
-        t, scalar = _prepare(t, positive=True)
-        return _ret(np.vectorize(self._second_derivative, otypes=[float])(t), scalar)
-
-    def derivative_at_zero_plus(self):
-        return self._d0
-
-    def second_derivative_at_zero_plus(self):
-        if self._d20 is None:
-            raise ValueError("second_derivative_at_zero was not provided")
-        return self._d20
-
-    @property
-    def lipschitz_at_zero(self):
-        return math.isfinite(self._d0)
-
-    def classify(self):
-        return RegularizerClass(self.lipschitz_at_zero, self._d0)
-
-
-@dataclass(frozen=True)
-class RegularizerClass:
-    """Behaviour of r' at the origin, which governs weight blow-up."""
-
-    lipschitz_at_zero: bool
-    derivative_at_zero: float
+        self._row = _Row(
+            lambda t, p: np.vectorize(value, otypes=[float])(t),
+            lambda t, p: np.vectorize(derivative, otypes=[float])(t),
+            lambda t, p: np.vectorize(second_derivative, otypes=[float])(t),
+            lambda p: d0,
+            _second_derivative_at_zero_missing if d20 is None else lambda p: d20,
+        )
 
 
 @dataclass(frozen=True)
@@ -317,7 +286,7 @@ def check_assumption4(reg, sequence):
     )
 
 
-def derivative_inverse(reg, target, bracket=(1e-300, 1e12)):
+def derivative_inverse(reg, target):
     """Solve r'(t) = target for t > 0 (r' is decreasing on (0, inf)).
 
     Used to bound nonzero coordinates of stationary points away from zero
@@ -331,7 +300,7 @@ def derivative_inverse(reg, target, bracket=(1e-300, 1e12)):
         return (target / reg.p) ** (1.0 / (reg.p - 1.0))
     if target >= reg.derivative_at_zero_plus():
         raise ValueError("target is not in the range of r'")
-    lo, hi = bracket
+    lo, hi = 1e-300, 1e12
     while reg.derivative(hi) > target:
         hi *= 2.0
         if hi > 1e300:

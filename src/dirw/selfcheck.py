@@ -45,12 +45,12 @@ def _result(name, passed, detail=""):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def check_derivative_consistency(regularizers=None, seed=0, samples=100):
+def check_derivative_consistency(regularizers=None):
     """r' and r'' match central differences at 1e-6 relative on [0.1, 10]."""
     regs = DEFAULT_REGULARIZERS if regularizers is None else regularizers
-    rng = make_rng(seed, "selfcheck", 0)
+    rng = make_rng(0, "selfcheck", 0)
     for reg in regs:
-        ts = rng.uniform(0.1, 10.0, samples)
+        ts = rng.uniform(0.1, 10.0, 100)
         for t in ts:
             h = 1e-6 * max(1.0, t)
             fd1 = (reg.value(t + h) - reg.value(t - h)) / (2.0 * h)
@@ -70,12 +70,12 @@ def check_derivative_consistency(regularizers=None, seed=0, samples=100):
     return _result("derivative-consistency", True, f"{len(regs)} regularizers")
 
 
-def check_concavity(regularizers=None, seed=1, samples=100):
+def check_concavity(regularizers=None):
     """Chords lie below the graph on (0, inf) and weights are monotone."""
     regs = DEFAULT_REGULARIZERS if regularizers is None else regularizers
-    rng = make_rng(seed, "selfcheck", 1)
+    rng = make_rng(1, "selfcheck", 1)
     for reg in regs:
-        for _ in range(samples):
+        for _ in range(100):
             t1, t2 = np.sort(rng.uniform(1e-3, 10.0, 2))
             if t1 == t2:
                 continue
@@ -93,9 +93,10 @@ def check_concavity(regularizers=None, seed=1, samples=100):
     return _result("concavity", True, f"{len(regs)} regularizers")
 
 
-def check_nonexpansiveness(seed=2, tuples=100_000, dim=10):
+def check_nonexpansiveness():
     """||S_w(z) - S_v(u)|| <= ||z - u|| + ||w - v|| on random finite data."""
-    rng = make_rng(seed, "selfcheck", 2)
+    tuples, dim = 100_000, 10
+    rng = make_rng(2, "selfcheck", 2)
     z = rng.normal(0.0, 3.0, (tuples, dim))
     u = rng.normal(0.0, 3.0, (tuples, dim))
     w = rng.uniform(0.0, 3.0, (tuples, dim))
@@ -145,10 +146,11 @@ def check_fixed_point_consistency():
     return _result("fixed-point-consistency", True, "both algorithms")
 
 
-def check_jacobian_fd(seed=3, points=20, h=1e-6, tol=1e-5):
+def check_jacobian_fd():
     """Analytic one-step Jacobians match central differences away from kinks."""
+    points, h, tol = 20, 1e-6, 1e-5
     prob = benchmark2d()
-    rng = make_rng(seed, "selfcheck", 3)
+    rng = make_rng(3, "selfcheck", 3)
     for algorithm in ("DIRL1", "DIRL2"):
         config = SolverConfig(algorithm)
         T = fixed_point_map(config, prob)
@@ -180,11 +182,12 @@ def check_jacobian_fd(seed=3, points=20, h=1e-6, tol=1e-5):
     return _result("jacobian-finite-difference", True, f"{points} points per algorithm")
 
 
-def check_eigen_reconstruction(seed=4, matrices=20, max_size=32):
+def check_eigen_reconstruction():
     """symmetric_eigen returns ascending eigenpairs with M V = V diag(vals)."""
-    rng = make_rng(seed, "selfcheck", 4)
+    matrices = 20
+    rng = make_rng(4, "selfcheck", 4)
     for _ in range(matrices):
-        n = int(rng.integers(1, max_size + 1))
+        n = int(rng.integers(1, 33))
         B = rng.normal(0.0, 1.0, (n, n))
         M = 0.5 * (B + B.T)
         vals, vecs = symmetric_eigen(M)
@@ -198,12 +201,12 @@ def check_eigen_reconstruction(seed=4, matrices=20, max_size=32):
     return _result("eigen-reconstruction", True, f"{matrices} random matrices")
 
 
-def check_support_identification_run(window=50):
-    """Sign fingerprints freeze over the tail of a converged DIRL1 run."""
+def check_support_identification_run():
+    """Sign fingerprints freeze over the 50-record tail of a converged DIRL1 run."""
     prob = benchmark2d()
     trace = run(SolverConfig("DIRL1"), prob, np.array([3.0, 3.0]))
-    ok = trace.converged and check_support_identification(trace, window)
-    return _result("support-identification", ok, f"window {window}")
+    ok = trace.converged and check_support_identification(trace, 50)
+    return _result("support-identification", ok, "window 50")
 
 
 ALL_CHECKS = (

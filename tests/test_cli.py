@@ -106,7 +106,8 @@ def test_classify_examples(capsys, saddle_x2):
     assert "saddle" not in out
 
 
-@pytest.mark.parametrize("x0", ["[0, true]", "[0, null]", '[0, "1"]', "[0, [1]]", "0,nan"])
+@pytest.mark.parametrize("x0", ["[0, true]", "[0, null]", '[0, "1"]', "[0, [1]]", "0,nan",
+                                "1,abc", "[1,"])
 def test_classify_exits_one_on_non_numeric_x0(capsys, x0):
     assert main(["classify", "--x0", x0]) == 1
     err = capsys.readouterr().err

@@ -268,3 +268,46 @@ def test_estimate_map_lipschitz(bench, rng):
               for _ in range(5)]
     L_S = estimate_map_lipschitz(config, bench, points)
     assert 0.0 < L_S < 10.0
+
+
+def _loop_assembled(jac):
+    """The element-by-element builder that ``assemble_full`` replaced."""
+    n = jac.dimension
+    full = np.zeros((2 * n, 2 * n))
+    act = list(jac.active)
+    inact = list(jac.inactive)
+    if act:
+        full[np.ix_(act, act)] = jac.block_II
+        if inact:
+            full[np.ix_(act, inact)] = jac.off_IJ
+        for row, i in enumerate(act):
+            full[i, n + i] = jac.off_Ieps[row]
+    for j in inact:
+        full[j, j] = jac.scalar_J
+    for i in range(n):
+        full[n + i, n + i] = jac.scalar_eps
+    return full
+
+
+def _all_active_3d():
+    """A 3-D problem with a coupled Hessian and a stationary point at
+    (1, -1, 1), where every coordinate is active (LPN p = 0.5, r'(1) = 0.5)."""
+    A = np.array([[2.0, 0.3, 0.1], [0.3, 2.0, 0.2], [0.1, 0.2, 2.0]])
+    x_star = np.array([1.0, -1.0, 1.0])
+    b = -A @ x_star - 0.5 * np.sign(x_star)
+    return Problem(SmoothTerm("quadratic", A, b), Regularizer("LPN", 0.5), 1.0), x_star
+
+
+@pytest.mark.parametrize("jacobian", [dirl1_jacobian, dirl2_jacobian])
+def test_assemble_full_matches_loop_builder(bench, saddle_x2, jacobian):
+    prob3, x3 = _all_active_3d()
+    cases = [
+        (bench, [0.0, saddle_x2]),
+        (bench, [0.0, 1.0]),
+        (bench, [0.0, 0.0]),  # no active coordinates
+        (prob3, x3),  # no inactive coordinates
+    ]
+    for prob, x_star in cases:
+        jac = jacobian(prob, x_star, ALPHA, BETA, MU)
+        assert jac.assemble_full().tobytes() == _loop_assembled(jac).tobytes()
+    assert jac.active == (0, 1, 2) and np.all(jac.block_II != 0.0)

@@ -104,12 +104,11 @@ def test_concavity_and_monotone_weights(reg, rng):
 
 @pytest.mark.parametrize("reg", ALL, ids=lambda r: r.family)
 def test_classification_matches_empirical_blowup(reg):
-    cls = reg.classify()
-    assert cls.lipschitz_at_zero == (reg.family != "LPN")
-    assert cls.derivative_at_zero > 0.0
+    assert reg.lipschitz_at_zero == (reg.family != "LPN")
+    assert reg.derivative_at_zero_plus() > 0.0
     values = [reg.derivative(10.0**-k) for k in range(1, 13)]
     blows_up = values[-1] > 1e4 * max(1.0, values[0])
-    assert blows_up == (not cls.lipschitz_at_zero)
+    assert blows_up == (not reg.lipschitz_at_zero)
 
 
 def test_assumption1_reports():
