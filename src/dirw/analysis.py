@@ -51,7 +51,17 @@ class SupportPattern:
     @property
     def bits(self):
         """Sign pattern as a string over {+, -, 0}."""
-        return _SIGN_CHARS[np.sign(self.signs).astype(np.intp) + 1].tobytes().decode("ascii")
+        return _sign_string(self.signs, 0.0)
+
+
+def _signs(x, tol):
+    """sign(x_i) where |x_i| > tol, else 0 (NaN included), as integers."""
+    return np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
+
+
+def _sign_string(x, tol):
+    """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``."""
+    return _SIGN_CHARS[_signs(x, tol) + 1].tobytes().decode("ascii")
 
 
 def support(x, tol=SUPPORT_TOL):
@@ -59,7 +69,7 @@ def support(x, tol=SUPPORT_TOL):
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     x = np.asarray(x, dtype=float)
-    signs = np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
+    signs = _signs(x, tol)
     active = tuple(np.flatnonzero(signs).tolist())
     inactive = tuple(np.flatnonzero(signs == 0).tolist())
     return SupportPattern(active=active, inactive=inactive, signs=signs)

@@ -28,9 +28,16 @@ def _frozen(a):
 
 
 class SmoothTerm:
-    """Dense smooth term with closed-form gradient and (constant) Hessian."""
+    """Dense smooth term with closed-form gradient and (constant) Hessian.
 
-    __slots__ = ("kind", "A", "b", "c", "_gram")
+    ``value`` and ``gradient`` share the one dense product A x (A x - b for
+    least squares) through a one-entry memo keyed on x's dtype, shape and
+    bytes: the solver asks for the objective at each new iterate and then
+    for the gradient at the same point. The memoized array never leaves
+    the term, and an x changed in place reads as a new key.
+    """
+
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_memo")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -49,6 +56,7 @@ class SmoothTerm:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_memo", (None, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
@@ -57,16 +65,30 @@ class SmoothTerm:
     def dimension(self):
         return self.A.shape[1]
 
+    def _product(self, x):
+        """A x for a quadratic term, A x - b for least squares, memoized."""
+        x = np.asarray(x)
+        # The bytes of an object array are pointers, which do not pin its values.
+        key = None if x.dtype.hasobject else (x.dtype, x.shape, x.tobytes())
+        memo_key, memo_out = self._memo
+        if key is not None and key == memo_key:
+            return memo_out
+        out = self.A @ x if self.kind == "quadratic" else self.A @ x - self.b
+        # One tuple, swapped whole: a thread sharing the term can lose the
+        # reuse but never read a key with another key's product.
+        object.__setattr__(self, "_memo", (key, out))
+        return out
+
     def value(self, x):
         if self.kind == "quadratic":
-            return float(0.5 * x @ (self.A @ x) + self.b @ x + self.c)
-        res = self.A @ x - self.b
+            return float(0.5 * x @ self._product(x) + self.b @ x + self.c)
+        res = self._product(x)
         return float(0.5 * res @ res)
 
     def gradient(self, x):
         if self.kind == "quadratic":
-            return self.A @ x + self.b
-        return self.A.T @ (self.A @ x - self.b)
+            return self._product(x) + self.b
+        return self.A.T @ self._product(x)
 
     def hessian(self):
         """The constant Hessian, read-only: A, or A'A formed on first use."""

@@ -49,7 +49,8 @@ _ROWS = {
         lambda t, p: p / (t + p) ** 2,
         lambda t, p: -2.0 * p / (t + p) ** 3,
         lambda p: 1.0 / p,
-        lambda p: -2.0 / p**2,
+        # p**2 underflows to 0 below about 1.5e-162; the limit is then -inf.
+        lambda p: -2.0 / p**2 if p**2 > 0.0 else -math.inf,
     ),
     "LPN": _Row(
         lambda t, p: t**p,

@@ -22,6 +22,7 @@ of the smooth term); this is asserted at every step.
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -380,7 +381,7 @@ def _record(state):
         F_perturbed=state.F_perturbed,
         step_norm=state.step_norm,
         eps_inf=float(state.eps.max()),
-        support_bits=analysis.support(state.y).bits,
+        support_bits=analysis._sign_string(state.y, analysis.SUPPORT_TOL),
     )
 
 
@@ -432,7 +433,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     records = [_record(state)]
     xs = [state.x.copy()] if trace_full else None
     eps_history = [state.eps.copy()] if trace_full else None
-    tail = [state.x.copy()]
+    tail = deque([state.x.copy()], maxlen=TAIL_WINDOW)
     sum_sq_steps = 0.0
     C = -math.inf
     converged = False
@@ -445,8 +446,6 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         sum_sq_steps += float((dx * dx).sum())
         C = max(C, state.prox_center_inf)
         tail.append(state.x.copy())
-        if len(tail) > TAIL_WINDOW:
-            del tail[0]
         if trace_full:
             xs.append(state.x.copy())
             eps_history.append(state.eps.copy())
@@ -467,6 +466,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
                 iteration=state.k,
             )
 
+    tail = list(tail)
     limit_x = analysis.extrapolate_limit(tail)
     residual = analysis.stationarity_residual(problem, limit_x).residual_active
     return SolveTrace(

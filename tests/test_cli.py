@@ -84,6 +84,16 @@ def test_solve_exit_1_on_mistyped_config(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_fra_with_underflowing_curvature_bound(tmp_path, capsys):
+    # r''(0+) = -2/p**2 with p**2 underflowed to 0 reads -inf, as for LPN.
+    spec = benchmark2d().to_dict()
+    spec["regularizer"] = {"family": "FRA", "p": 1e-200}
+    problem = write_json(tmp_path / "fra.json", spec)
+    assert main(["solve", "--problem", problem, "--x0", "3,3"]) in (0, 2)
+    err = capsys.readouterr().err
+    assert "warning:" in err and "Traceback" not in err
+
+
 def test_solve_trace_full_writes_states(tmp_path, solver_cfg):
     out = tmp_path / "full"
     code = main(["solve", "--config", solver_cfg, "--x0", "1,1",

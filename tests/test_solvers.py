@@ -5,13 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from dirw.analysis import SUPPORT_TOL, support
 from dirw.errors import ConfigValidationError, NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
 from dirw.regularizers import Regularizer
 from dirw.solvers import (
+    TAIL_WINDOW,
     IterateState,
     SolverConfig,
+    _record,
     dirl1_step,
     dirl1_subproblem,
     dirl1_weights,
@@ -476,3 +482,31 @@ def test_record_thinning(bench):
     assert len(thin.records) < len(full.records)
     assert thin.records[-1].k == full.records[-1].k
     assert thin.converged and thin.iterations == full.iterations
+
+
+#: Entries on both sides of the support threshold, signed zeros and subnormals.
+FINGERPRINT_ENTRIES = st.one_of(
+    st.sampled_from((
+        SUPPORT_TOL, -SUPPORT_TOL, math.nextafter(SUPPORT_TOL, 1.0),
+        -math.nextafter(SUPPORT_TOL, 1.0), math.nextafter(SUPPORT_TOL, 0.0),
+        0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-309, math.nan,
+    )),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(y=hnp.arrays(np.float64, st.integers(0, 40), elements=FINGERPRINT_ENTRIES))
+def test_record_bits_are_the_support_fingerprint(y):
+    state = IterateState(k=0, x=y, eps=np.ones(1), y=y, F_perturbed=0.0, step_norm=0.0)
+    assert _record(state).support_bits == support(y).bits
+
+
+def test_tail_keeps_the_last_iterates_as_a_list(bench):
+    for max_iter in (3, 200):
+        trace = run(SolverConfig("DIRL1", max_iter=max_iter), bench, np.array([3.0, 3.0]),
+                    trace_full=True)
+        assert type(trace.tail) is list
+        assert len(trace.tail) == min(trace.iterations + 1, TAIL_WINDOW)
+        for got, want in zip(trace.tail, trace.xs[-TAIL_WINDOW:]):
+            assert got.tobytes() == want.tobytes()
