@@ -48,6 +48,9 @@ CLUSTER_RADIUS = 1e-3
 #: Initialization box used by "uniform" starting points.
 DEFAULT_INIT_BOX = (-3.0, 3.0)
 
+#: Most starts one escape experiment may ask for; every result is held in memory.
+MAX_NUM_INITS = 10**6
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -144,10 +147,14 @@ class ExperimentConfig:
             scale = real("perturbation_scale", scale)
             if scale < 0.0:
                 raise ValueError(f"perturbation_scale must be >= 0, got {scale!r}")
+        num_inits = integer("num_inits", data["num_inits"], 1)
+        if num_inits > MAX_NUM_INITS:
+            # The value is not echoed: a long int may exceed str()'s digit limit.
+            raise ValueError(f"num_inits must be at most {MAX_NUM_INITS}")
         return ExperimentConfig(
             problem_spec=data["problem"],
             solver=SolverConfig.from_dict(data["solver"]),
-            num_inits=integer("num_inits", data["num_inits"], 1),
+            num_inits=num_inits,
             init_lo=lo,
             init_hi=hi,
             seed=integer("seed", data["seed"], 0),
@@ -270,6 +277,10 @@ def run_escape(exp):
 
 
 def cmd_solve(args):
+    if args.trace_full and not args.out:
+        # Not argparse's exit 2, which means "budget exhausted" here.
+        print("error: --trace-full needs --out", file=sys.stderr)
+        return 1
     try:
         problem = resolve_problem(args.problem)
         config = load_solver_config(args.config)
@@ -400,7 +411,8 @@ def build_parser():
     solve.add_argument("--x0", default="zeros", help="vector literal, 'zeros', or 'uniform[:seed]'")
     solve.add_argument("--out", help="output prefix for .json/.csv artifacts")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--trace-full", action="store_true", dest="trace_full")
+    solve.add_argument("--trace-full", action="store_true", dest="trace_full",
+                       help="also write every iterate to <out>.states.jsonl (needs --out)")
     solve.set_defaults(func=cmd_solve)
 
     classify = sub.add_parser("classify", help="classify a stationary point")

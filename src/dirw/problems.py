@@ -61,6 +61,9 @@ class SmoothTerm:
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
 
+    def __reduce__(self):  # rebuilt and re-validated; _gram and _memo start empty
+        return SmoothTerm, (self.kind, self.A, self.b, self.c)
+
     @property
     def dimension(self):
         return self.A.shape[1]
@@ -117,6 +120,9 @@ class Problem:
 
     def __setattr__(self, name, value):
         raise AttributeError("Problem is immutable")
+
+    def __reduce__(self):
+        return Problem, (self.smooth, self.reg, self.lam)
 
     @property
     def dimension(self):

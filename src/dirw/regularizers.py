@@ -146,6 +146,9 @@ class Regularizer(_Penalty):
     def __setattr__(self, name, value):
         raise AttributeError("Regularizer is immutable")
 
+    def __reduce__(self):  # rebuilt through __init__; the row is not pickled
+        return Regularizer, (self.family, self.p)
+
     def __repr__(self):
         return f"Regularizer({self.family!r}, p={self.p})"
 
@@ -188,6 +191,7 @@ class CustomRegularizer(_Penalty):
         d20 = None if second_derivative_at_zero is None else float(second_derivative_at_zero)
         if not d0 > 0.0:
             raise ValueError("derivative_at_zero must be > 0")
+        self._callbacks = (value, derivative, second_derivative, d0, d20)
         self._row = _Row(
             lambda t, p: np.vectorize(value, otypes=[float])(t),
             lambda t, p: np.vectorize(derivative, otypes=[float])(t),
@@ -195,6 +199,9 @@ class CustomRegularizer(_Penalty):
             lambda p: d0,
             _second_derivative_at_zero_missing if d20 is None else lambda p: d20,
         )
+
+    def __reduce__(self):  # pickles whenever the callbacks do
+        return CustomRegularizer, self._callbacks
 
 
 @dataclass(frozen=True)

@@ -536,10 +536,24 @@ def trace_to_csv(trace, path):
             )
 
 
+def _json_floats(v):
+    """``json.dumps(v.tolist())`` for a float vector, formatting each distinct
+    bit pattern once: bits keep -0.0 apart from 0.0, and json.dumps writes
+    NaN and +-inf as NaN and +-Infinity."""
+    bits, inverse = np.unique(np.asarray(v, dtype=float).view(np.int64), return_inverse=True)
+    text = [repr(f) if math.isfinite(f) else json.dumps(f)
+            for f in bits.view(float).tolist()]
+    return "[" + ", ".join([text[i] for i in inverse.tolist()]) + "]"
+
+
 def trace_states_to_jsonl(trace, path):
-    """Write full iterate states as JSON lines; requires a trace_full run."""
+    """Write full iterate states as JSON lines; requires a trace_full run.
+
+    Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
+    eps.tolist()})``. A uniform eps costs one float repr per line.
+    """
     if trace.xs is None:
         raise ValueError("trace does not hold full states; rerun with trace_full=True")
     with open(path, "w", encoding="utf-8") as fh:
         for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)):
-            fh.write(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n")
+            fh.write(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n')

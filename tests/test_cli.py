@@ -7,13 +7,15 @@ import pytest
 
 from dirw.cli import (
     CLUSTER_RADIUS,
+    MAX_NUM_INITS,
     ExperimentConfig,
     _classify_label,
     main,
     parse_x0,
     run_escape,
 )
-from dirw.problems import BENCHMARK2D_STATIONARY, benchmark2d
+from dirw.problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
+from dirw.solvers import SolverConfig, run
 
 
 def write_json(path, data):
@@ -360,6 +362,7 @@ def test_experiment_config_rejects_non_finite_init_box(tmp_path, box):
     ("problem", 12345),  # open() takes an int as a file descriptor; no live one here
     ("init_box", [[True, -3], [3, 3]]),  # numpy casts the bool to 1
     ("seed", -5),
+    ("num_inits", 10**400),
 ])
 def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
     cfg = experiment(tmp_path, **{field: value})
@@ -397,3 +400,37 @@ def test_run_escape_records_structure(tmp_path):
         assert rec["converged"]
         assert rec["distance"] <= 1e-3
         assert rec["basin"].startswith("cluster_")
+
+
+def test_solve_trace_full_needs_out(capsys):
+    assert main(["solve", "--x0", "3,3", "--trace-full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trace-full needs --out\n" and captured.out == ""
+
+
+def test_solve_states_jsonl_is_json_dumps_of_the_trace(tmp_path):
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(3, 5))
+    spec = {"smooth": {"kind": "least_squares", "A": A.tolist(),
+                       "b": (A @ [1.0, 0.0, -2.0, 0.0, 0.0]).tolist()},
+            "regularizer": {"family": "LPN", "p": 0.5}, "lambda": 0.05}
+    problem = write_json(tmp_path / "lsq.json", spec)
+    cfg = write_json(tmp_path / "s.json", {"algorithm": "DIRL2", "max_iter": 300})
+    x0 = "[0.0, -0.0, 1.5, -2.0, 1e-300]"
+    out = tmp_path / "run"
+    assert main(["solve", "--config", cfg, "--problem", problem, "--x0", x0,
+                 "--out", str(out), "--trace-full"]) in (0, 2)
+    trace = run(SolverConfig("DIRL2", max_iter=300), load_problem(problem),
+                parse_x0(x0, 5, 0), trace_full=True)
+    want = "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
+                   for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))
+    got = (tmp_path / "run.states.jsonl").read_bytes()
+    assert got == want.encode()
+    assert got.startswith(b'{"k": 0, "x": [0.0, -0.0, 1.5, -2.0, 1e-300], "eps": [')
+
+
+def test_experiment_config_bounds_num_inits(tmp_path):
+    assert ExperimentConfig.from_dict(_reloaded(tmp_path, num_inits=MAX_NUM_INITS)).num_inits \
+        == MAX_NUM_INITS
+    with pytest.raises(ValueError, match=f"num_inits must be at most {MAX_NUM_INITS}"):
+        ExperimentConfig.from_dict(_reloaded(tmp_path, num_inits=MAX_NUM_INITS + 1))

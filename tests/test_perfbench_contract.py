@@ -1,0 +1,51 @@
+"""The benchmark's tracer still sees every function it patches.
+
+``perfbench/tracing.py`` wraps dirw's functions by name and checks span
+counts against each other. A refactor that calls a traced function through
+a name the tracer does not patch (a helper that swallows
+``trace_states_to_jsonl``, say) makes those counts disagree; this test runs
+one traced ``dirw solve --trace-full --out`` and asks the tracer's own
+consistency check.
+"""
+
+import importlib.util
+import json
+import pathlib
+import sys
+
+import numpy as np
+
+from dirw import cli
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_solve_trace_full_is_consistent(tmp_path, monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(4, 6))
+    spec = {"smooth": {"kind": "least_squares", "A": A.tolist(), "b": rng.normal(size=4).tolist()},
+            "regularizer": {"family": "LPN", "p": 0.5}, "lambda": 0.05}
+    problem = tmp_path / "lsq.json"
+    problem.write_text(json.dumps(spec))
+    config = tmp_path / "solver.json"
+    config.write_text(json.dumps({"algorithm": "DIRL2", "max_iter": 200}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["solve", "--config", str(config), "--problem", str(problem),
+                         "--x0", "zeros", "--out", str(tmp_path / "run"), "--trace-full"])
+    finally:
+        tracer.uninstall()
+    assert code in (0, 2)
+    assert tracer.counters["solvers.iterations"] > 0
+    assert tracing.consistency_errors(
+        tracer, 1, {"solvers.run": 1, "cli.load_problem": 1, "solvers.trace_write": 2}) == []

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from dirw.problems import (
     load_problem,
     problem_from_dict,
 )
-from dirw.regularizers import Regularizer
+from dirw.regularizers import CustomRegularizer, Regularizer
 
 
 def least_squares_identity(n, reg=None, lam=1.0):
@@ -316,3 +318,54 @@ def test_linear_perturbation():
             prob.objective_value(x) - v @ x, rel=1e-12, abs=1e-12
         )
         assert np.allclose(pert.gradient_smooth(x), prob.gradient_smooth(x) - v)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _same_penalty(a, b, t):
+    assert _bits(a.value(t)) == _bits(b.value(t))
+    assert _bits(a.derivative(t[t > 0])) == _bits(b.derivative(t[t > 0]))
+    assert a.derivative_at_zero_plus() == b.derivative_at_zero_plus()
+
+
+@pytest.mark.parametrize("copier", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_problems_and_regularizers_pickle_and_deepcopy(copier, rng):
+    t = np.concatenate([[0.0, 5e-324, 1e-3, 1.0, 1e6], rng.uniform(0, 5, 20)])
+    for family, p in [("EXP", 1.0), ("LOG", 2.0), ("FRA", 1.5), ("LPN", 0.5), ("TAN", 2.0)]:
+        reg = Regularizer(family, p)
+        twin = copier(reg)
+        assert type(twin) is Regularizer and twin == reg
+        _same_penalty(reg, twin, t)
+    A = rng.normal(size=(6, 4))
+    lsq = Problem(SmoothTerm("least_squares", A, rng.normal(size=6)), Regularizer("LPN", 0.5), 0.3)
+    for problem in (benchmark2d(), lsq):
+        n = problem.dimension
+        x, eps = rng.normal(size=n), rng.uniform(0.1, 1.0, n)
+        problem.perturbed_value_l1(x, eps)  # fills the product memo
+        problem.hessian_smooth()  # fills the Gram cache of a least-squares term
+        twin = copier(problem)
+        assert type(twin) is Problem and twin.lam == problem.lam
+        assert twin.smooth._memo == (None, None) and twin.smooth._gram is None
+        assert not twin.smooth.A.flags.writeable
+        assert twin.perturbed_value_l1(x, eps) == problem.perturbed_value_l1(x, eps)
+        assert twin.perturbed_value_l2(x, eps) == problem.perturbed_value_l2(x, eps)
+        assert _bits(twin.gradient_smooth(x)) == _bits(problem.gradient_smooth(x))
+        _same_penalty(problem.reg, twin.reg, t)
+
+
+def test_custom_regularizer_copies_through_its_callbacks():
+    t = np.array([0.0, 1e-3, 0.5, 2.0])
+    reg = CustomRegularizer(np.log1p, lambda s: 1.0 / (1.0 + s), lambda s: -1.0 / (1.0 + s) ** 2,
+                            1.0)
+    _same_penalty(reg, copy.deepcopy(reg), t)
+    with pytest.raises(ValueError, match="second_derivative_at_zero"):
+        copy.deepcopy(reg).second_derivative_at_zero_plus()
+    with pytest.raises((pickle.PicklingError, AttributeError)):  # a lambda does not pickle
+        pickle.dumps(reg)
+    reg = CustomRegularizer(np.log1p, np.reciprocal, np.negative, 2.0, -4.0)
+    twin = pickle.loads(pickle.dumps(reg))
+    _same_penalty(reg, twin, t)
+    assert twin.second_derivative_at_zero_plus() == -4.0

@@ -2,10 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import sys
+import tempfile
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -510,3 +514,46 @@ def test_tail_keeps_the_last_iterates_as_a_list(bench):
         assert len(trace.tail) == min(trace.iterations + 1, TAIL_WINDOW)
         for got, want in zip(trace.tail, trace.xs[-TAIL_WINDOW:]):
             assert got.tobytes() == want.tobytes()
+
+
+#: Signed zeros, subnormals, the float extremes, NaNs of both signs and
+#: another payload, and +-inf.
+STATE_ENTRIES = st.one_of(
+    st.sampled_from((
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+        sys.float_info.max, math.nan, -math.nan, math.inf, -math.inf,
+        float(np.int64(0x7FF8_0000_0000_0ABC).view(np.float64)),
+    )),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def state_vectors(draw):
+    """A float vector of 0 to 12 entries: drawn, uniform, or a strided or reversed view."""
+    n = draw(st.integers(0, 12))
+    layout = draw(st.sampled_from(("drawn", "uniform", "strided", "reversed")))
+    if layout == "uniform":
+        return np.full(n, draw(STATE_ENTRIES))
+    if layout == "strided":
+        return draw(hnp.arrays(np.float64, 2 * n, elements=STATE_ENTRIES))[::2]
+    v = draw(hnp.arrays(np.float64, n, elements=STATE_ENTRIES))
+    return v[::-1] if layout == "reversed" else v
+
+
+def _oracle_lines(xs, eps_history):
+    return "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
+                   for k, (x, eps) in enumerate(zip(xs, eps_history))).encode()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(states=st.lists(st.tuples(state_vectors(), state_vectors()), min_size=1, max_size=4))
+@example(states=[(np.array([0.0, -0.0, 0.0, 1.5]), np.array([math.nan, math.inf, -math.inf, 2.0])),
+                 (np.zeros(0), np.full(3, 5e-324)), (np.array([-0.0]), np.array([1e308]))])
+def test_trace_jsonl_lines_are_json_dumps(states):
+    trace = types.SimpleNamespace(xs=[x for x, _ in states], eps_history=[e for _, e in states])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "states.jsonl")
+        trace_states_to_jsonl(trace, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _oracle_lines(trace.xs, trace.eps_history)
