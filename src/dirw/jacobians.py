@@ -17,7 +17,7 @@ repel the iteration.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .analysis import (
     RESIDUAL_TOL,
 )
 from .errors import NonStationaryPointError, NumericalFailure
-from .solvers import eps_factor, solution_map
+from .solvers import eps_factor
 
 #: Eigenvalue magnitudes above 1 + INSTABILITY_DELTA make a fixed point unstable.
 INSTABILITY_DELTA = 1e-10
@@ -50,6 +50,8 @@ class FixedPointJacobian:
     scalar_J: float
     scalar_eps: float
     spectrum: np.ndarray
+    #: Active-block eigenvalues, set by dirl{1,2}_jacobian; not in to_dict().
+    block_eigenvalues: np.ndarray = field(init=False, default=None, repr=False)
 
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
@@ -78,27 +80,6 @@ class FixedPointJacobian:
         }
 
 
-def _active_block(prob, x_star, pattern, beta, algorithm):
-    """Restricted Hessian H, positive diagonal P and the eigenvalues of P^-1 H.
-
-    P = I for DIRL1. For DIRL2, P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*|,
-    and the eigenvalues come from the symmetric congruence P^-1/2 H P^-1/2,
-    which shares them.
-    """
-    act = list(pattern.active)
-    H = restricted_hessian(prob, x_star, pattern)
-    if not act:
-        return H, np.ones(0), np.zeros(0)
-    if algorithm == "DIRL1":
-        P = np.ones(len(act))
-    else:
-        xa = np.abs(x_star[act])
-        P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
-    inv_sqrt = 1.0 / np.sqrt(P)
-    vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
-    return H, P, vals
-
-
 def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
     """DT at (x*, 0): active block I - (alpha/beta) P^-1 H, with P = I for DIRL1.
 
@@ -120,7 +101,16 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
             "empty inactive set"
         )
     n = prob.dimension
-    H, P, vals = _active_block(prob, x_star, pattern, beta, algorithm)
+    H = restricted_hessian(prob, x_star, pattern)
+    P = np.ones(len(act))
+    vals = np.zeros(0)
+    if act:
+        if algorithm == "DIRL2":
+            xa = np.abs(x_star[act])
+            P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
+        # P^-1/2 H P^-1/2 is symmetric and shares its eigenvalues with P^-1 H
+        inv_sqrt = 1.0 / np.sqrt(P)
+        vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
     hess_f = prob.hessian_smooth()
     block = np.eye(len(act)) - (alpha / beta) * (H / P[:, None])
     off_IJ = -(alpha / beta) * hess_f[np.ix_(act, inact)] / P[:, None]
@@ -130,14 +120,13 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         rpp = np.atleast_1d(prob.reg.second_derivative(np.abs(xa)))
         off_Ieps = -(alpha / beta) * prob.lam * rpp * np.sign(xa)
     scalar_eps = eps_factor(alpha, mu, eps_decay)
+    block_vals = 1.0 - (alpha / beta) * vals
     spectrum = np.sort(
         np.concatenate(
-            [1.0 - (alpha / beta) * vals,
-             np.full(len(inact), 1.0 - alpha),
-             np.full(n, scalar_eps)]
+            [block_vals, np.full(len(inact), 1.0 - alpha), np.full(n, scalar_eps)]
         )
     )
-    return FixedPointJacobian(
+    jac = FixedPointJacobian(
         algorithm=algorithm,
         dimension=n,
         active=tuple(act),
@@ -149,6 +138,8 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         scalar_eps=scalar_eps,
         spectrum=spectrum,
     )
+    jac.block_eigenvalues = block_vals
+    return jac
 
 
 def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
@@ -196,8 +187,8 @@ def finite_difference_jacobian(map_fn, point, h=1e-6, columns=None):
     return np.column_stack(out)
 
 
-def full_jacobian(problem, config, x, eps):
-    """Analytic DT of the damped one-step map at (x, eps).
+def _subproblem_partials(problem, config, x, eps):
+    """(dS_x/dx, diagonal of dS_x/deps) of the undamped subproblem map S at (x, eps).
 
     DIRL1 requires every coordinate to be away from the two kink sets:
     x_i = 0 (weight kink) and |x_i - grad_i/beta| = lam*w_i/beta
@@ -210,7 +201,7 @@ def full_jacobian(problem, config, x, eps):
     n = problem.dimension
     x = np.asarray(x, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    alpha, beta, lam = config.alpha, config.beta, problem.lam
+    beta, lam = config.beta, problem.lam
     grad = problem.gradient_smooth(x)
     hess = problem.hessian_smooth()
     if config.algorithm == "DIRL1":
@@ -227,8 +218,13 @@ def full_jacobian(problem, config, x, eps):
         pos = z > 0.0
         g = np.zeros(n)
         gp = np.zeros(n)
-        rp = np.atleast_1d(problem.reg.derivative(z[pos]))
-        rpp = np.atleast_1d(problem.reg.second_derivative(z[pos]))
+        with np.errstate(over="ignore"):
+            rp = np.atleast_1d(problem.reg.derivative(z[pos]))
+            rpp = np.atleast_1d(problem.reg.second_derivative(z[pos]))
+        # r' or r'' overflowed (LPN below z ~ 1e-205, long solves): the row's z -> 0 limit, 0
+        kept = ~(np.isinf(rp) | np.isinf(rpp))
+        pos[pos] = kept
+        rp, rpp = rp[kept], rpp[kept]
         denom = z[pos] + (lam / beta) * rp
         g[pos] = z[pos] / denom
         gp[pos] = -(lam / beta) * (rpp * z[pos] - rp) / denom**2
@@ -239,12 +235,16 @@ def full_jacobian(problem, config, x, eps):
             ei_over_z = np.where(pos, eps / np.where(pos, z, 1.0), 0.0)
         ds_x[np.diag_indices(n)] += gp * xi_over_z * c
         d_eps = gp * ei_over_z * c
+    return ds_x, d_eps
 
-    full = np.zeros((2 * n, 2 * n))
-    full[:n, :n] = (1.0 - alpha) * np.eye(n) + alpha * ds_x
-    full[:n, n:] = alpha * np.diag(d_eps)
-    full[n:, n:] = config.eps_factor * np.eye(n)
-    return full
+
+def full_jacobian(problem, config, x, eps):
+    """Analytic DT of the damped one-step map at (x, eps); DIRL1 points must
+    avoid the kinks named in ``_subproblem_partials``."""
+    n, alpha = problem.dimension, config.alpha
+    ds_x, d_eps = _subproblem_partials(problem, config, x, eps)
+    return np.block([[(1.0 - alpha) * np.eye(n) + alpha * ds_x, alpha * np.diag(d_eps)],
+                     [np.zeros((n, n)), config.eps_factor * np.eye(n)]])
 
 
 def unstable_fixed_point_check(jac):
@@ -276,16 +276,13 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     jacobian = dirl1_jacobian if algorithm == "DIRL1" else dirl2_jacobian
     jac = jacobian(prob, x_star, alpha, beta, mu)
     unstable = unstable_fixed_point_check(jac)
-    x_star = np.asarray(x_star, dtype=float)
-    _, _, vals = _active_block(prob, x_star, report.pattern, beta, algorithm)
-    block_vals = 1.0 - (alpha / beta) * vals
     rho = hessian_norm(report)
     alpha_ok = rho == 0.0 or alpha < beta / rho
     if report.classification == CLASS_STRICT_SADDLE:
         consistent = unstable
         detail = "strict saddle must be unstable"
     elif report.classification == CLASS_STRICT_LOCAL_MIN and alpha_ok:
-        consistent = bool(np.all(np.abs(block_vals) < 1.0)) and not unstable
+        consistent = bool(np.all(np.abs(jac.block_eigenvalues) < 1.0)) and not unstable
         detail = "strict local minimum must have contracting active block"
     else:
         consistent = True
@@ -294,7 +291,7 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
         classification=report.classification,
         unstable=unstable,
         spectrum=jac.spectrum,
-        block_eigenvalues=block_vals,
+        block_eigenvalues=jac.block_eigenvalues,
         structural=(jac.scalar_J, jac.scalar_eps),
         rho=rho,
         alpha_below_beta_over_rho=alpha_ok,
@@ -304,16 +301,19 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
 
 
 def estimate_map_lipschitz(config, problem, points):
-    """Empirical Lipschitz constant of the subproblem map S.
+    """Largest spectral norm of S's analytic Jacobian over sampled (x, eps) points.
 
-    Maximum finite-difference Jacobian operator norm over the sampled
-    (x, eps) points. The damping needed for invertibility is
-    alpha < 1/(1 + L_S).
+    The partials are those of ``full_jacobian`` (DIRL1 points must avoid its
+    kinks); central differences are only their oracle. The damping needed
+    for invertibility is alpha < 1/(1 + L_S).
     """
-    S = solution_map(config, problem)
+    n = problem.dimension
     best = 0.0
     for v in points:
-        J = finite_difference_jacobian(S, np.asarray(v, dtype=float))
-        vals, _ = symmetric_eigen(J.T @ J)
-        best = max(best, math.sqrt(max(float(vals[-1]), 0.0)))
+        v = np.asarray(v, dtype=float)
+        ds_x, d_eps = _subproblem_partials(problem, config, v[:n], v[n:])
+        J = np.block([[ds_x, np.diag(d_eps)], [np.zeros((n, n)), config.mu * np.eye(n)]])
+        if not np.isfinite(J).all():
+            raise NumericalFailure("subproblem-map Jacobian has non-finite entries")
+        best = max(best, float(np.linalg.norm(J, 2)))
     return best

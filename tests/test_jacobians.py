@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dirw.analysis import CLASS_STRICT_LOCAL_MIN, CLASS_STRICT_SADDLE, symmetric_eigen
+from dirw.cli import _tail_sample_points
 from dirw.errors import NonStationaryPointError, NumericalFailure
 from dirw.jacobians import (
     FixedPointJacobian,
@@ -17,7 +18,7 @@ from dirw.jacobians import (
     unstable_fixed_point_check,
 )
 from dirw.problems import Problem, SmoothTerm
-from dirw.regularizers import Regularizer
+from dirw.regularizers import CustomRegularizer, Regularizer
 from dirw.solvers import SolverConfig, fixed_point_map, run, solution_map
 
 ALPHA, BETA, MU = 0.2, 4.0, 0.3
@@ -123,25 +124,84 @@ def test_finite_difference_flags_bad_column():
         finite_difference_jacobian(bad, np.array([0.0, 1.0]), h=1e-6)
 
 
+def _smooth_points(prob, config, rng, count):
+    """``count`` seeded (x, eps) pairs; DIRL1 ones lie 1e-5 or more from its
+    threshold kink."""
+    n = prob.dimension
+    while count:
+        x = rng.uniform(0.1, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        eps = rng.uniform(0.1, 1.0, n)
+        if config.algorithm == "DIRL1":
+            grad = prob.gradient_smooth(x)
+            w = np.atleast_1d(prob.reg.derivative(np.abs(x) + eps))
+            margin = np.abs(np.abs(x - grad / config.beta) - prob.lam * w / config.beta)
+            if np.min(margin) < 1e-5:
+                continue
+        yield x, eps
+        count -= 1
+
+
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 def test_analytic_matches_fd_at_smooth_points(bench, algorithm, rng):
     config = SolverConfig(algorithm, alpha=ALPHA, beta=BETA, mu=MU)
     T = fixed_point_map(config, bench)
-    checked = 0
-    while checked < 20:
-        x = rng.uniform(0.1, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
-        eps = rng.uniform(0.1, 1.0, 2)
-        if algorithm == "DIRL1":
-            grad = bench.gradient_smooth(x)
-            w = np.atleast_1d(bench.reg.derivative(np.abs(x) + eps))
-            margin = np.abs(np.abs(x - grad / BETA) - bench.lam * w / BETA)
-            if np.min(margin) < 1e-5:
-                continue
-        v = np.concatenate([x, eps])
-        fd = finite_difference_jacobian(T, v, h=1e-6)
+    for x, eps in _smooth_points(bench, config, rng, 20):
+        fd = finite_difference_jacobian(T, np.concatenate([x, eps]), h=1e-6)
         an = full_jacobian(bench, config, x, eps)
         assert np.max(np.abs(fd - an)) <= 1e-5
-        checked += 1
+
+
+def _reference_full_jacobian(problem, config, x, eps):
+    """``full_jacobian`` as one function, before S's partials were split out."""
+    n = problem.dimension
+    x = np.asarray(x, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    alpha, beta, lam = config.alpha, config.beta, problem.lam
+    grad = problem.gradient_smooth(x)
+    hess = problem.hessian_smooth()
+    if config.algorithm == "DIRL1":
+        t = np.abs(x) + eps
+        w = np.atleast_1d(problem.reg.derivative(t))
+        rpp = np.atleast_1d(problem.reg.second_derivative(t))
+        z = x - grad / beta
+        on = np.abs(z) > lam * w / beta
+        ds_x = np.where(on[:, None], np.eye(n) - hess / beta, 0.0)
+        d_eps = np.where(on, -np.sign(z) * (lam / beta) * rpp, 0.0)
+        ds_x[np.diag_indices(n)] += d_eps * np.sign(x)
+    else:
+        z = np.hypot(x, eps)
+        pos = z > 0.0
+        g = np.zeros(n)
+        gp = np.zeros(n)
+        rp = np.atleast_1d(problem.reg.derivative(z[pos]))
+        rpp = np.atleast_1d(problem.reg.second_derivative(z[pos]))
+        denom = z[pos] + (lam / beta) * rp
+        g[pos] = z[pos] / denom
+        gp[pos] = -(lam / beta) * (rpp * z[pos] - rp) / denom**2
+        c = x - grad / beta
+        ds_x = g[:, None] * (np.eye(n) - hess / beta)
+        with np.errstate(invalid="ignore"):
+            xi_over_z = np.where(pos, x / np.where(pos, z, 1.0), 0.0)
+            ei_over_z = np.where(pos, eps / np.where(pos, z, 1.0), 0.0)
+        ds_x[np.diag_indices(n)] += gp * xi_over_z * c
+        d_eps = gp * ei_over_z * c
+
+    full = np.zeros((2 * n, 2 * n))
+    full[:n, :n] = (1.0 - alpha) * np.eye(n) + alpha * ds_x
+    full[:n, n:] = alpha * np.diag(d_eps)
+    full[n:, n:] = config.eps_factor * np.eye(n)
+    return full
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_full_jacobian_bits_match_reference(bench, algorithm, rng):
+    # lam/beta that is not a power of two, so a reordered product shows
+    config = SolverConfig(algorithm, alpha=ALPHA, beta=3.7, mu=MU)
+    prob3 = _all_active_3d()[0]
+    for prob in (bench, Problem(prob3.smooth, prob3.reg, 0.7)):
+        for x, eps in _smooth_points(prob, config, rng, 20):
+            expected = _reference_full_jacobian(prob, config, x, eps)
+            assert full_jacobian(prob, config, x, eps).tobytes() == expected.tobytes()
 
 
 def test_analytic_matches_fd_at_stationary_points(bench, saddle_x2):
@@ -262,12 +322,54 @@ def test_jacobian_serialization(bench):
     assert json.loads(json_text) == d
 
 
+def _fd_map_lipschitz(config, problem, points):
+    """The central-difference estimate of L_S that the analytic one replaced."""
+    S = solution_map(config, problem)
+    best = 0.0
+    for v in points:
+        J = finite_difference_jacobian(S, np.asarray(v, dtype=float))
+        vals, _ = symmetric_eigen(J.T @ J)
+        best = max(best, math.sqrt(max(float(vals[-1]), 0.0)))
+    return best
+
+
 def test_estimate_map_lipschitz(bench, rng):
+    # interior points on benchmark2d and on a coupled 3-D problem, and the
+    # tail points that `dirw solve` samples, for every penalty family
     config = SolverConfig("DIRL2", alpha=ALPHA, beta=BETA, mu=MU)
-    points = [np.concatenate([rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 1.0, 2)])
-              for _ in range(5)]
+    for family in ("EXP", "LOG", "FRA", "LPN", "TAN"):
+        reg = Regularizer(family, 0.5)
+        prob2 = Problem(bench.smooth, reg, bench.lam)
+        prob3 = Problem(_all_active_3d()[0].smooth, reg, 1.0)
+        trace = run(config, prob2, np.array([3.0, 3.0]))
+        assert trace.converged
+        for prob, points in (
+            (prob2, [np.concatenate([rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 1.0, 2)])
+                     for _ in range(5)]),
+            (prob3, [np.concatenate([rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 1.0, 3)])
+                     for _ in range(5)]),
+            (prob2, _tail_sample_points(trace, config, 2)),
+        ):
+            L_S = estimate_map_lipschitz(config, prob, points)
+            assert 0.0 < L_S < 10.0
+            assert abs(L_S - _fd_map_lipschitz(config, prob, points)) <= 1e-8 * L_S
+
+
+def test_estimate_map_lipschitz_where_lpn_curvature_overflows(bench):
+    # r''(z) of LPN overflows at z = 1e-250, which eps reaches after about
+    # 3800 iterations; the row takes its z -> 0 limit, 0, as at z = 0
+    config = SolverConfig("DIRL2", alpha=ALPHA, beta=BETA, mu=MU)
+    points = [np.array([0.0, 1.0, 1e-250, 1e-250]), np.array([1e-300, 1.0, 1e-250, 0.0])]
     L_S = estimate_map_lipschitz(config, bench, points)
-    assert 0.0 < L_S < 10.0
+    assert abs(L_S - _fd_map_lipschitz(config, bench, points)) <= 1e-8 * L_S
+    full = full_jacobian(bench, config, points[0][:2], points[0][2:])
+    assert full[0].tolist() == [1.0 - ALPHA, 0.0, 0.0, 0.0]
+    # a NaN is not an overflow: it reaches the Jacobian and is refused there
+    nan_curvature = CustomRegularizer(lambda t: t**0.5, lambda t: 0.5 * t**-0.5,
+                                      lambda t: math.nan, math.inf)
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        estimate_map_lipschitz(config, Problem(bench.smooth, nan_curvature, 1.0),
+                               [np.array([1.0, 1.0, 0.5, 0.5])])
 
 
 def _loop_assembled(jac):

@@ -3,9 +3,9 @@
 ``perfbench/tracing.py`` wraps dirw's functions by name and checks span
 counts against each other. A refactor that calls a traced function through
 a name the tracer does not patch (a helper that swallows
-``trace_states_to_jsonl``, say) makes those counts disagree; this test runs
-one traced ``dirw solve --trace-full --out`` and asks the tracer's own
-consistency check.
+``trace_states_to_jsonl``, say) makes those counts disagree. These tests
+run one traced ``dirw solve --trace-full --out`` and one analysis shaped
+like the ``lsq1000`` workload, and ask the tracer's own consistency check.
 """
 
 import importlib.util
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from dirw import cli
+from dirw import analysis, cli, jacobians, problems, regularizers, solvers
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +49,32 @@ def test_traced_solve_trace_full_is_consistent(tmp_path, monkeypatch):
     assert tracer.counters["solvers.iterations"] > 0
     assert tracing.consistency_errors(
         tracer, 1, {"solvers.run": 1, "cli.load_problem": 1, "solvers.trace_write": 2}) == []
+
+
+def test_traced_lsq_analysis_is_consistent(monkeypatch):
+    # lsq1000's operation at a small size: a DIRL1 least-squares solve, then
+    # classify, the stationary Jacobian and the saddle/instability cross-check.
+    tracing = _load_tracing(monkeypatch)
+    rng = np.random.default_rng(3)
+    problem = problems.Problem(
+        problems.SmoothTerm("least_squares", rng.normal(size=(4, 6)), rng.normal(size=4)),
+        regularizers.Regularizer("LPN", 0.5), 0.05)
+    config = solvers.SolverConfig("DIRL1")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        limit = solvers.run(config, problem, np.zeros(6)).limit_x
+        report = analysis.classify_stationary_point(problem, limit)
+        jacobians.dirl1_jacobian(problem, limit, config.alpha, config.beta, config.mu,
+                                 config.eps_decay)
+        equiv = jacobians.saddle_unstable_equivalence(
+            problem, limit, config.alpha, config.beta, config.mu, "DIRL1")
+    finally:
+        tracer.uninstall()
+    assert report.pattern.active and equiv.consistent
+    assert tracing.consistency_errors(
+        tracer, 1, {"solvers.run": 1, "jacobians.stationary_jacobian": 2,
+                    "jacobians.equivalence": 1}) == []
+    # classify twice (once inside the cross-check) and each Jacobian once;
+    # the cross-check reuses its Jacobian's active-block eigenvalues.
+    assert tracer.totals()["analysis.symmetric_eigen"][0] == 4
