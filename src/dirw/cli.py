@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .analysis import (
     hessian_norm,
     stationarity_residual,
 )
-from .errors import NonStationaryPointError, NumericalFailure, integer, real, real_array
+from .errors import NonStationaryPointError, NumericalFailure, integer, json_object, real, real_array
 from .jacobians import estimate_map_lipschitz
 from .problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
 from .solvers import (
@@ -110,72 +110,58 @@ def parse_x0(spec, n, seed):
     return x0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    problem_spec: str
+    """A multi-start experiment; the fields are the JSON keys, checked when built.
+    ``run_escape`` checks ``init_box`` and ``perturbation`` against the dimension."""
+
+    problem: str
     solver: SolverConfig
     num_inits: int
-    init_lo: np.ndarray
-    init_hi: np.ndarray
+    init_box: tuple
     seed: int
-    saddle_radius: float
-    perturbation: np.ndarray = None
+    saddle_radius: float = 1e-3
+    perturbation: tuple = None
     perturbation_scale: float = None
 
-    REQUIRED = ("problem", "solver", "num_inits", "init_box", "seed")
-    OPTIONAL = ("saddle_radius", "perturbation", "perturbation_scale")
-
-    @staticmethod
-    def from_dict(data):
-        if not isinstance(data, dict):
-            raise ValueError(f"experiment config must be a JSON object, got {data!r}")
-        for key in ExperimentConfig.REQUIRED:
-            if key not in data:
-                raise ValueError(f"experiment config missing field {key!r}")
-        unknown = set(data) - set(ExperimentConfig.REQUIRED + ExperimentConfig.OPTIONAL)
-        if unknown:
-            raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        if not isinstance(data["problem"], str):
-            raise ValueError(f"problem must be a path or a built-in name, got {data['problem']!r}")
-        box = data["init_box"]
-        if not (isinstance(box, (list, tuple)) and len(box) == 2):
-            raise ValueError(f"init_box must be a pair [lo, hi], got {box!r}")
-        lo, hi = (np.atleast_1d(real_array("init_box", bound)) for bound in box)
-        pert = data.get("perturbation")
-        scale = data.get("perturbation_scale")
-        if scale is not None:
-            scale = real("perturbation_scale", scale)
-            if scale < 0.0:
-                raise ValueError(f"perturbation_scale must be >= 0, got {scale!r}")
-        num_inits = integer("num_inits", data["num_inits"], 1)
+    def __post_init__(self):
+        if not isinstance(self.problem, str):
+            raise ValueError(f"problem must be a path or a built-in name, got {self.problem!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
+        num_inits = integer("num_inits", self.num_inits, 1)
         if num_inits > MAX_NUM_INITS:
             # The value is not echoed: a long int may exceed str()'s digit limit.
             raise ValueError(f"num_inits must be at most {MAX_NUM_INITS}")
-        return ExperimentConfig(
-            problem_spec=data["problem"],
-            solver=SolverConfig.from_dict(data["solver"]),
-            num_inits=num_inits,
-            init_lo=lo,
-            init_hi=hi,
-            seed=integer("seed", data["seed"], 0),
-            saddle_radius=real("saddle_radius", data.get("saddle_radius", 1e-3), 0.0),
-            perturbation=None if pert is None else real_array("perturbation", pert),
-            perturbation_scale=scale,
-        )
+        box = self.init_box
+        if not (isinstance(box, (list, tuple)) and len(box) == 2):
+            raise ValueError(f"init_box must be a pair [lo, hi], got {box!r}")
+        bounds = [np.atleast_1d(real_array("init_box", bound)) for bound in box]
+        if any(bound.ndim > 1 for bound in bounds):
+            raise ValueError("init_box bounds must be numbers or lists of numbers")
+        pert, scale = self.perturbation, self.perturbation_scale
+        pert = None if pert is None else real_array("perturbation", pert)
+        if pert is not None and pert.ndim != 1:
+            raise ValueError("perturbation must be a list of numbers")
+        scale = None if scale is None else real("perturbation_scale", scale)
+        if scale is not None and scale < 0.0:
+            raise ValueError(f"perturbation_scale must be >= 0, got {scale!r}")
+        for name, value in {
+            "num_inits": num_inits,
+            "init_box": tuple(tuple(bound.tolist()) for bound in bounds),
+            "seed": integer("seed", self.seed, 0),
+            "saddle_radius": real("saddle_radius", self.saddle_radius, 0.0),
+            "perturbation": None if pert is None else tuple(pert.tolist()),
+            "perturbation_scale": scale,
+        }.items():
+            object.__setattr__(self, name, value)
 
-
-def _broadcast_box(exp, n):
-    for bound in (exp.init_lo, exp.init_hi):
-        if np.ndim(bound) > 1 or np.size(bound) not in (1, n):
-            raise ValueError(
-                f"init_box bounds must have 1 or {n} entries (the problem "
-                f"dimension), got shape {np.shape(bound)}"
-            )
-    lo = np.broadcast_to(exp.init_lo, (n,)).astype(float)
-    hi = np.broadcast_to(exp.init_hi, (n,)).astype(float)
-    if np.any(lo >= hi):
-        raise ValueError("init_box lower bounds must be strictly below upper bounds")
-    return lo, hi
+    @classmethod
+    def from_dict(cls, data):
+        """The config from parsed JSON, its ``solver`` read by SolverConfig.from_dict."""
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+        data = json_object("experiment config", data, required, [f.name for f in fields(cls)])
+        return cls(**dict(data, solver=SolverConfig.from_dict(data["solver"])))
 
 
 def _classify_label(problem, point):
@@ -200,7 +186,7 @@ def run_escape(exp):
     counter-based stream, is solved, and its limit joins the nearest
     cluster within CLUSTER_RADIUS (the first on a tie) or opens a new one.
     """
-    problem = resolve_problem(exp.problem_spec)
+    problem = resolve_problem(exp.problem)
     n = problem.dimension
     perturbation = exp.perturbation
     if perturbation is None and exp.perturbation_scale:
@@ -208,10 +194,16 @@ def run_escape(exp):
         perturbation = make_rng(exp.seed, "perturbation").uniform(-s, s, n)
     if perturbation is not None:
         problem = problem.perturbed_linearly(perturbation)
-    lo, hi = _broadcast_box(exp, n)
+    try:
+        lo, hi = (np.broadcast_to(bound, (n,)) for bound in exp.init_box)
+    except ValueError:
+        raise ValueError(f"init_box bounds must have 1 or {n} entries (the problem "
+                         f"dimension), got {[len(bound) for bound in exp.init_box]}") from None
+    if np.any(lo >= hi):
+        raise ValueError("init_box lower bounds must be strictly below upper bounds")
 
     points = np.empty((0, n))
-    if exp.problem_spec == "benchmark2d" and perturbation is None:
+    if exp.problem == "benchmark2d" and perturbation is None:
         # The benchmark's stationary set is known in closed form.
         points = np.array(BENCHMARK2D_STATIONARY, dtype=float)
     labels = [_classify_label(problem, point) for point in points]
@@ -264,7 +256,7 @@ def run_escape(exp):
         "seed": exp.seed,
         "saddle_radius": exp.saddle_radius,
         "solver": exp.solver.to_dict(),
-        "problem": exp.problem_spec,
+        "problem": exp.problem,
         "perturbation": perturbation,
         "clusters": [
             {"point": point, "label": label, "count": count}

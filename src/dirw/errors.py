@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the typed readers that
-every config and problem-file field goes through. A number is a Python or
-numpy int or float: booleans, strings, None, lists in scalar fields, NaN
-and +-inf are refused with a ValueError that starts with the field name.
+every config and problem-file object and field goes through. A number is a
+Python or numpy int or float: booleans, strings, None, lists in scalar fields,
+NaN and +-inf are refused with a ValueError that starts with the field name.
 """
 
 import math
@@ -35,6 +35,20 @@ class NonStationaryPointError(ValueError):
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
+
+
+def json_object(name, data, required, optional):
+    """``data`` if it is a dict with every key of ``required`` and no key outside
+    ``required`` and ``optional``; otherwise a ValueError starting with ``name``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{name} is missing field {key!r}")
+    unknown = [key for key in data if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{name} has unknown fields {unknown}")
+    return data
 
 
 #: The types that count as numbers; ``bool`` is a subclass of ``int`` and is refused.

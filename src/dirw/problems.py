@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import real, real_array
-from .regularizers import FAMILIES, Regularizer
+from .errors import json_object, real, real_array
+from .regularizers import Regularizer
 
 SMOOTH_KINDS = ("quadratic", "least_squares")
 
@@ -41,7 +41,7 @@ class SmoothTerm:
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
-            raise ValueError(f"unknown smooth term kind {kind!r}")
+            raise ValueError(f"kind must be one of {SMOOTH_KINDS}, got {kind!r}")
         A = _frozen(np.atleast_2d(real_array("A", A)))
         b = _frozen(np.atleast_1d(real_array("b", b)))
         c = real("c", c)
@@ -244,30 +244,16 @@ BENCHMARK2D_STATIONARY = (
 )
 
 
-def _require(cond, field, message):
-    if not cond:
-        raise ValueError(f"invalid problem file: field {field!r}: {message}")
-
-
 def problem_from_dict(data):
-    """Build a validated Problem from the parsed JSON structure."""
-    _require(isinstance(data, dict), "<root>", "expected a JSON object")
-    for key in ("smooth", "regularizer", "lambda"):
-        _require(key in data, key, "missing")
-    sm, rg = data["smooth"], data["regularizer"]
-    _require(isinstance(sm, dict), "smooth", "expected an object")
-    for key in ("kind", "A", "b"):
-        _require(key in sm, f"smooth.{key}", "missing")
-    _require(sm["kind"] in SMOOTH_KINDS, "kind", f"must be one of {SMOOTH_KINDS}")
-    _require(isinstance(rg, dict), "regularizer", "expected an object")
-    for key in ("family", "p"):
-        _require(key in rg, f"regularizer.{key}", "missing")
-    _require(rg["family"] in FAMILIES, "family", f"must be one of {FAMILIES}")
+    """Build a validated Problem from parsed JSON. Every message starts with
+    'invalid problem file', and below the root names the object or field at fault."""
+    data = json_object("invalid problem file", data, ("smooth", "regularizer", "lambda"), ())
     try:
-        smooth = SmoothTerm(sm["kind"], sm["A"], sm["b"], sm.get("c", 0.0))
-        return Problem(smooth, Regularizer(rg["family"], rg["p"]), data["lambda"])
+        sm = json_object("smooth", data["smooth"], ("kind", "A", "b"), ("c",))
+        smooth = SmoothTerm(**sm)
+        return Problem(smooth, Regularizer.from_dict(data["regularizer"]), data["lambda"])
     except ValueError as exc:
-        # Every constructor message leads with the name of the offending field.
+        # Every message above leads with the name of the offending object or field.
         field = str(exc).split()[0]
         raise ValueError(f"invalid problem file: field {field!r}: {exc}") from exc
 

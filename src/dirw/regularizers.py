@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import real
+from .errors import json_object, real
 
 #: r, r', r'' as functions of (t, p) and r'(0+), r''(0+) as functions of p.
 _Row = namedtuple(
@@ -137,7 +137,7 @@ class Regularizer(_Penalty):
 
     def __init__(self, family, p):
         if family not in FAMILIES:
-            raise ValueError(f"unknown regularizer family {family!r}")
+            raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
         p = real("p", p, 0.0, 1.0 if family == "LPN" else math.inf)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "p", p)
@@ -167,6 +167,8 @@ class Regularizer(_Penalty):
 
     @staticmethod
     def from_dict(d):
+        """The regularizer from parsed JSON; each error starts with 'regularizer' or a field."""
+        d = json_object("regularizer", d, ("family", "p"), ())
         return Regularizer(d["family"], d["p"])
 
 

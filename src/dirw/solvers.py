@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import analysis
-from .errors import ConfigValidationError, NumericalFailure, integer, real, real_array
+from .errors import ConfigValidationError, NumericalFailure, integer, json_object, real, real_array
 from .regularizers import check_assumption4, derivative_inverse
 
 ALGORITHMS = ("DIRL1", "DIRL2")
@@ -79,13 +79,22 @@ def dirl1_subproblem(x, grad, w, beta, lam):
 def dirl2_weights(x, eps, reg):
     """u_i = r'(z_i) / (2 z_i) with z_i = sqrt(x_i^2 + eps_i^2); inf at z_i = 0."""
     z = np.hypot(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+    if z.ndim:
+        try:  # the solver's case: eps > 0 keeps every z_i > 0, which r' checks
+            return _over_twice(reg.derivative(z), z)
+        except ValueError:  # a z_i of 0 (or not finite) takes the masked path
+            pass
     pos = z > 0.0
-    if z.ndim and pos.all():
-        return reg.derivative(z) / (2.0 * z)
     u = np.full(z.shape, math.inf)
     if pos.any():
-        u[pos] = np.atleast_1d(reg.derivative(z[pos])) / (2.0 * z[pos])
+        u[pos] = _over_twice(np.atleast_1d(reg.derivative(z[pos])), z[pos])
     return u
+
+
+@np.errstate(over="ignore")
+def _over_twice(d, z):
+    """d / (2 z), where overflow to inf is the weight's z -> 0 limit: not warned."""
+    return d / (2.0 * z)
 
 
 def dirl2_subproblem(x, grad, u, beta, lam):
@@ -159,14 +168,8 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The config from parsed JSON; every error starts with 'solver config:'."""
-        if not isinstance(d, dict):
-            raise ValueError(f"solver config: expected a JSON object, got {d!r}")
-        unknown = d.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"solver config: unknown fields: {sorted(unknown)}")
-        if "algorithm" not in d:
-            raise ValueError("solver config: missing field 'algorithm'")
+        """The config from parsed JSON; every error starts with 'solver config'."""
+        d = json_object("solver config", d, ("algorithm",), [f.name for f in fields(cls)])
         try:
             return cls(**d)
         except ValueError as exc:

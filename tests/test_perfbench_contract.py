@@ -4,8 +4,9 @@
 counts against each other. A refactor that calls a traced function through
 a name the tracer does not patch (a helper that swallows
 ``trace_states_to_jsonl``, say) makes those counts disagree. These tests
-run one traced ``dirw solve --trace-full --out`` and one analysis shaped
-like the ``lsq1000`` workload, and ask the tracer's own consistency check.
+run one traced ``dirw solve --trace-full --out``, one ``dirw escape`` and one
+analysis shaped like the ``lsq1000`` workload, and ask the tracer's own
+consistency check.
 """
 
 import importlib.util
@@ -49,6 +50,29 @@ def test_traced_solve_trace_full_is_consistent(tmp_path, monkeypatch):
     assert tracer.counters["solvers.iterations"] > 0
     assert tracing.consistency_errors(
         tracer, 1, {"solvers.run": 1, "cli.load_problem": 1, "solvers.trace_write": 2}) == []
+
+
+def test_traced_escape_is_consistent(tmp_path, monkeypatch):
+    # escape2d's operation at 5 starts per algorithm, through the same call.
+    tracing = _load_tracing(monkeypatch)
+    configs = []
+    for algorithm in ("DIRL1", "DIRL2"):
+        config = tmp_path / f"{algorithm}.json"
+        config.write_text(json.dumps({
+            "problem": "benchmark2d", "solver": {"algorithm": algorithm}, "num_inits": 5,
+            "init_box": [[-3, -3], [3, 3]], "seed": 20260809, "saddle_radius": 1e-3}))
+        configs.append(config)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(["escape", "--config", str(config), "--out",
+                           str(config.with_suffix(".summary.json")), "--workers", "1"])
+                 for config in configs]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert tracing.consistency_errors(
+        tracer, 1, {"cli.run_escape": 2, "solvers.run": 10, "rng.make_rng": 10}) == []
 
 
 def test_traced_lsq_analysis_is_consistent(monkeypatch):

@@ -249,6 +249,22 @@ def test_dirl2_weights():
     assert u[0] == pytest.approx(reg.derivative(5.0) / 10.0)
 
 
+def test_dirl2_weights_overflow_to_inf_without_a_warning():
+    # A finite r'(z) over a tiny 2 z overflows to inf, the weight that pins
+    # y_i to 0; the suite turns a RuntimeWarning into an error.
+    reg = Regularizer("LPN", 0.5)
+    assert dirl2_weights(np.array([1e-310, 1.0]), np.zeros(2), reg)[0] == math.inf
+    assert dirl2_weights(np.array([1e-310, 0.0]), np.zeros(2), reg).tolist() == [math.inf] * 2
+    # A long solve whose pinned coordinate's z falls that low; final_x has the
+    # bits that the same solve gave before, with the warning ignored.
+    problem = Problem(SmoothTerm("quadratic", np.diag([2.0, 0.1]), np.array([0.3, -2.5])),
+                      reg, 1.0)
+    trace = run(SolverConfig("DIRL2"), problem, np.array([3.0, 3.0]))
+    assert trace.converged and trace.iterations == 4251
+    assert [v.hex() for v in trace.final_x.tolist()] == [
+        "-0x0.0000000000002p-1022", "0x1.7fa9b38565e8ep+4"]
+
+
 def test_dirl2_subproblem():
     y = dirl2_subproblem(np.array([2.0]), np.zeros(1), np.array([0.5]), 1.0, 1.0)
     assert y[0] == pytest.approx(1.0)
