@@ -258,14 +258,13 @@ def extrapolate_limit(xs):
     X = np.asarray(xs, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         return np.array(xs[-1], dtype=float)
+    V = np.abs(X)
+    snap = V[-1] <= SUPPORT_TOL
+    ratio = ~snap & (V[-1] <= SNAP_SMALL)
+    if ratio.any():
+        ratio &= (V[:-1] != 0.0).all(axis=0)  # no zero divisor, so no warning
+        C = V[:, ratio]
+        snap[ratio] = np.median(C[1:] / C[:-1], axis=0) <= SNAP_RATIO
     limit = X[-1].copy()
-    for i in range(X.shape[1]):
-        v = np.abs(X[:, i])
-        if v[-1] <= SUPPORT_TOL:
-            limit[i] = 0.0
-            continue
-        if v[-1] > SNAP_SMALL or np.any(v[:-1] == 0.0):
-            continue
-        if np.median(v[1:] / v[:-1]) <= SNAP_RATIO:
-            limit[i] = 0.0
+    limit[snap] = 0.0
     return limit

@@ -271,23 +271,14 @@ def run_escape(exp):
 def cmd_solve(args):
     if args.trace_full and not args.out:
         # Not argparse's exit 2, which means "budget exhausted" here.
-        print("error: --trace-full needs --out", file=sys.stderr)
-        return 1
-    try:
-        problem = resolve_problem(args.problem)
-        config = load_solver_config(args.config)
-        x0 = parse_x0(args.x0, problem.dimension, args.seed)
-        report = validate_config(config, problem)
-        if report.hard_errors:
-            for line in report.hard_errors:
-                print(f"error: {line}", file=sys.stderr)
-            return 1
-        for line in report.warnings:
-            print(f"warning: {line}", file=sys.stderr)
-        trace = run(config, problem, x0, trace_full=args.trace_full)
-    except (ValueError, NumericalFailure, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("--trace-full needs --out")
+    problem = resolve_problem(args.problem)
+    config = load_solver_config(args.config)
+    x0 = parse_x0(args.x0, problem.dimension, args.seed)
+    # A hard error leaves no warnings; run() raises it as ConfigValidationError.
+    for line in validate_config(config, problem).warnings:
+        print(f"warning: {line}", file=sys.stderr)
+    trace = run(config, problem, x0, trace_full=args.trace_full)
 
     classification = None
     diagnostics = dict(trace.diagnostics)
@@ -342,12 +333,8 @@ def _tail_sample_points(trace, config, n):
 
 
 def cmd_classify(args):
-    try:
-        problem = resolve_problem(args.problem)
-        x = parse_x0(args.x0, problem.dimension, args.seed)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    problem = resolve_problem(args.problem)
+    x = parse_x0(args.x0, problem.dimension, args.seed)
     stationarity = stationarity_residual(problem, x, tol_residual=CLASSIFY_GATE)
     output = {"gate": CLASSIFY_GATE, "stationarity": stationarity.to_dict()}
     if not stationarity.is_stationary:
@@ -360,13 +347,9 @@ def cmd_classify(args):
 
 
 def cmd_escape(args):
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            exp = ExperimentConfig.from_dict(json.load(fh))
-        summary = run_escape(exp)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.config, "r", encoding="utf-8") as fh:
+        exp = ExperimentConfig.from_dict(json.load(fh))
+    summary = run_escape(exp)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _dump_json(summary, fh)
@@ -426,8 +409,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; any failure it raises is one ``error:`` line and exit 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, NumericalFailure, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ The smooth term f is one of two dense constant-Hessian kinds, which keeps
 the gradient-Lipschitz constant global and exactly computable:
 
     quadratic       f(x) = 0.5 x'Ax + b'x + c     (A symmetric)
-    least_squares   f(x) = 0.5 ||Ax - b||^2
+    least_squares   f(x) = 0.5 ||Ax - b||^2 + c
 
 Problems are immutable after construction and can be loaded from the JSON
 format documented in :func:`load_problem`.
@@ -86,7 +86,7 @@ class SmoothTerm:
         if self.kind == "quadratic":
             return float(0.5 * x @ self._product(x) + self.b @ x + self.c)
         res = self._product(x)
-        return float(0.5 * res @ res)
+        return float(0.5 * res @ res) + self.c
 
     def gradient(self, x):
         if self.kind == "quadratic":
@@ -207,7 +207,7 @@ class Problem:
             smooth = SmoothTerm("quadratic", s.A, s.b - v, s.c)
         else:
             smooth = SmoothTerm(
-                "quadratic", s.hessian(), -(s.A.T @ s.b) - v, 0.5 * float(s.b @ s.b)
+                "quadratic", s.hessian(), -(s.A.T @ s.b) - v, 0.5 * float(s.b @ s.b) + s.c
             )
         return Problem(smooth, self.reg, self.lam)
 

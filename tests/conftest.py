@@ -1,5 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module (and libcst through it) only to report a
+# failing example; libcst warns on import, and with warnings as errors that
+# report would abort the whole session instead of failing one test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from dirw.problems import benchmark2d, BENCHMARK2D_SADDLE_X2
 

@@ -7,6 +7,9 @@ from dirw.analysis import (
     CLASS_DEGENERATE,
     CLASS_STRICT_LOCAL_MIN,
     CLASS_STRICT_SADDLE,
+    SNAP_RATIO,
+    SNAP_SMALL,
+    SUPPORT_TOL,
     check_support_identification,
     classify_stationary_point,
     extrapolate_limit,
@@ -201,6 +204,53 @@ def test_extrapolate_limit():
     # below support tolerance snaps to zero regardless
     xs3 = np.stack([np.full(60, 1e-12), np.full(60, 0.7)], axis=1)
     assert extrapolate_limit(xs3)[0] == 0.0
+
+
+def _extrapolate_reference(xs):
+    """The per-coordinate loop, kept as an oracle."""
+    X = np.asarray(xs, dtype=float)
+    limit = X[-1].copy()
+    for i in range(X.shape[1]):
+        v = np.abs(X[:, i])
+        if v[-1] <= SUPPORT_TOL:
+            limit[i] = 0.0
+            continue
+        if v[-1] > SNAP_SMALL or np.any(v[:-1] == 0.0):
+            continue
+        if np.median(v[1:] / v[:-1]) <= SNAP_RATIO:
+            limit[i] = 0.0
+    return limit
+
+
+def _random_column(rng, k):
+    kind = rng.integers(5)
+    if kind == 0:  # flat, at any scale
+        col = np.full(k, 10.0 ** rng.uniform(-12, 1))
+    elif kind == 1:  # geometric, around the SNAP_RATIO boundary or below it
+        ratio = rng.choice([rng.uniform(0.5, 1.05), SNAP_RATIO, 0.9989, 0.9991])
+        col = 10.0 ** rng.uniform(-9, -2) * ratio ** np.arange(k)
+    elif kind == 2:  # noise
+        col = 10.0 ** rng.uniform(-12, 0, k)
+    elif kind == 3:  # exact values at the thresholds
+        col = np.full(k, rng.choice([SUPPORT_TOL, SNAP_SMALL, 0.0, -0.0]))
+    else:
+        col = rng.normal(size=k) * 1e-5
+    if rng.random() < 0.3:
+        col = col * rng.choice([-1.0, 1.0], k)  # sign flips
+    if rng.random() < 0.2:
+        col[rng.integers(k)] = 0.0
+    return col
+
+
+def test_extrapolate_limit_matches_the_loop():
+    rng = np.random.default_rng(20240817)
+    windows = [np.full((64, 1000), 5e-5) * 0.9 ** np.arange(64)[:, None]]  # all candidates
+    for _ in range(3000):
+        k, n = int(rng.integers(2, 65)), int(rng.integers(0, 9))
+        windows.append(np.stack([_random_column(rng, k) for _ in range(n)], axis=1)
+                       if n else np.empty((k, 0)))
+    for xs in windows:
+        assert extrapolate_limit(xs).tobytes() == _extrapolate_reference(xs).tobytes()
 
 
 def _support_reference(x, tol):

@@ -119,6 +119,8 @@ def old_dirl1_weights(x, eps, reg):
     t = np.abs(np.asarray(x, dtype=float)) + np.asarray(eps, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("|x_i| + eps_i must be nonnegative")
+    if np.any(np.isnan(t)):  # refused, where the mask would give r'(0+)
+        raise ValueError("x and eps must not hold NaN")
     w = np.full(t.shape, reg.derivative_at_zero_plus())
     pos = t > 0.0
     if np.any(pos):
@@ -128,6 +130,8 @@ def old_dirl1_weights(x, eps, reg):
 
 def old_dirl2_weights(x, eps, reg):
     z = np.hypot(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+    if np.any(np.isnan(z)):  # refused, where the mask would give inf
+        raise ValueError("x and eps must not hold NaN")
     u = np.full(z.shape, math.inf)
     pos = z > 0.0
     if np.any(pos):

@@ -408,6 +408,21 @@ def test_solve_trace_full_needs_out(capsys):
     assert captured.err == "error: --trace-full needs --out\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["solve", "escape"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "run")
+    if command == "solve":
+        argv = ["solve", "--x0", "3,3", "--out", out]
+    else:
+        argv = ["escape", "--config", experiment(tmp_path, num_inits=2), "--out", out + ".json"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if not line.startswith("warning: ")] == [
+        f"error: [Errno 2] No such file or directory: '{out}.json'"
+    ]
+
+
 def test_solve_states_jsonl_is_json_dumps_of_the_trace(tmp_path):
     rng = np.random.default_rng(7)
     A = rng.normal(size=(3, 5))

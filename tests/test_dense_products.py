@@ -33,7 +33,7 @@ def formula(term, name, x):
         return A @ x + b
     if name == "value":
         res = A @ x - b
-        return float(0.5 * res @ res)
+        return float(0.5 * res @ res) + term.c
     return A.T @ (A @ x - b)
 
 

@@ -320,6 +320,19 @@ def test_linear_perturbation():
         assert np.allclose(pert.gradient_smooth(x), prob.gradient_smooth(x) - v)
 
 
+def test_least_squares_constant_is_part_of_f():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(4, 3))
+    b = rng.normal(size=4)
+    smooth = SmoothTerm("least_squares", A, b, 100.0)
+    assert smooth.value(np.zeros(3)) == 0.5 * float(b @ b) + 100.0
+    v = rng.normal(size=3)
+    pert = Problem(smooth, Regularizer("LPN", 0.5), 0.5).perturbed_linearly(v)
+    for _ in range(10):
+        x = rng.normal(size=3)
+        assert pert.smooth.value(x) == pytest.approx(smooth.value(x) - v @ x, rel=1e-12)
+
+
 def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 

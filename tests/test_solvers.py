@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 from dirw.analysis import SUPPORT_TOL, support
 from dirw.errors import ConfigValidationError, NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
-from dirw.regularizers import Regularizer
+from dirw.regularizers import CustomRegularizer, Regularizer
 from dirw.solvers import (
     TAIL_WINDOW,
     IterateState,
@@ -241,6 +241,31 @@ def test_maps_reject_bad_x(bench, make_map, algorithm, v, message):
         apply(v)
 
 
+@pytest.mark.parametrize("make_map", [solution_map, fixed_point_map])
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+@pytest.mark.parametrize("v", [[0.5, 1.0, np.nan, 0.1], [0.5, 1.0, 0.0, np.nan]])
+def test_maps_refuse_nan_eps(bench, make_map, algorithm, v):
+    # A NaN in x is test_maps_reject_bad_x's; the maps check only the x half.
+    apply = make_map(SolverConfig(algorithm), bench)
+    with pytest.raises(ValueError, match="x and eps must not hold NaN"):
+        apply(v)
+
+
+@pytest.mark.parametrize("weights", [dirl1_weights, dirl2_weights])
+@pytest.mark.parametrize("family", ["LPN", "EXP"])
+@pytest.mark.parametrize("x, eps", [
+    ([0.5, np.nan], [1.0, 0.1]),
+    ([0.0, np.nan], [0.0, 0.0]),
+    ([0.5, 1.0], [np.nan, 0.1]),
+    ([0.0, 1.0], [0.0, np.nan]),
+    (np.nan, 1.0),
+    (0.0, np.nan),
+])
+def test_weights_refuse_nan(weights, family, x, eps):
+    with pytest.raises(ValueError, match="x and eps must not hold NaN"):
+        weights(np.array(x), np.array(eps), Regularizer(family, 0.5))
+
+
 def test_dirl2_weights():
     reg = Regularizer("LPN", 0.5)
     assert dirl2_weights(np.array([1.0]), np.zeros(1), reg)[0] == pytest.approx(0.25)
@@ -404,9 +429,12 @@ def test_validate_lipeomorphism_margin():
 
 
 def test_validate_warns_dirl2_for_lipschitz_regularizer(bench):
-    prob = Problem(bench.smooth, Regularizer("EXP", 1.0), 1.0)
-    report = validate_config(SolverConfig("DIRL2"), prob)
-    assert any("smoothness condition fails" in w for w in report.warnings)
+    # Every penalty with a finite r'(0+): the built-ins and a custom one.
+    custom = CustomRegularizer(lambda t: t / (1.0 + t), lambda t: 1.0 / (1.0 + t) ** 2,
+                               lambda t: -2.0 / (1.0 + t) ** 3, 1.0, -2.0)
+    for reg in [*(Regularizer(family, 1.0) for family in ("EXP", "LOG", "FRA", "TAN")), custom]:
+        report = validate_config(SolverConfig("DIRL2"), Problem(bench.smooth, reg, 1.0))
+        assert any("smoothness condition fails" in w for w in report.warnings), reg
     report_lpn = validate_config(SolverConfig("DIRL2"), bench)
     assert not any("smoothness condition fails" in w for w in report_lpn.warnings)
 
