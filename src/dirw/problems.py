@@ -27,6 +27,17 @@ def _frozen(a):
     return out
 
 
+def _l1_radius(x, eps):
+    return np.abs(x) + eps
+
+
+@np.errstate(all="ignore")
+def _quietly(radius, x, eps):
+    """radius(x, eps) without floating-point warnings: the caller checks the
+    result, and recomputes it with warnings when the check fails."""
+    return radius(x, eps)
+
+
 class SmoothTerm:
     """Dense smooth term with closed-form gradient and (constant) Hessian.
 
@@ -37,7 +48,7 @@ class SmoothTerm:
     the term, and an x changed in place reads as a new key.
     """
 
-    __slots__ = ("kind", "A", "b", "c", "_gram", "_memo")
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_memo")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -56,12 +67,13 @@ class SmoothTerm:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_lipschitz", None)
         object.__setattr__(self, "_memo", (None, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
 
-    def __reduce__(self):  # rebuilt and re-validated; _gram and _memo start empty
+    def __reduce__(self):  # rebuilt and re-validated; the memos start empty
         return SmoothTerm, (self.kind, self.A, self.b, self.c)
 
     @property
@@ -102,6 +114,19 @@ class SmoothTerm:
             gram.setflags(write=False)
             object.__setattr__(self, "_gram", gram)
         return self._gram
+
+    def _lipschitz_gradient(self):
+        """The largest Hessian eigenvalue magnitude, computed on first use."""
+        if self._lipschitz is None:
+            if self.kind == "quadratic":
+                M = self.A
+            elif self.A.shape[0] < self.A.shape[1]:
+                M = self.A @ self.A.T
+            else:
+                M = self.hessian()
+            vals = np.linalg.eigvalsh(M)
+            object.__setattr__(self, "_lipschitz", float(max(abs(vals[0]), abs(vals[-1]))))
+        return self._lipschitz
 
     def to_dict(self):
         return {"kind": self.kind, "A": self.A.tolist(), "b": self.b.tolist(), "c": self.c}
@@ -159,16 +184,40 @@ class Problem:
         return self.smooth.value(x) + self.penalty_value(np.abs(x))
 
     def perturbed_value_l1(self, x, eps):
-        """f(x) + lambda * sum_i r(|x_i| + eps_i); equals F(x) at eps = 0."""
-        x = self.check_vector(x)
-        eps = self._check_eps(x, eps)
-        return self.smooth.value(x) + self.penalty_value(np.abs(x) + eps)
+        """f(x) + lambda * sum_i r(|x_i| + eps_i); equals F(x) at eps = 0.
+
+        One predicate checks x, eps and r's domain; see ``_perturbed_value``.
+        """
+        return self._perturbed_value(x, eps, _l1_radius)
 
     def perturbed_value_l2(self, x, eps):
-        """f(x) + lambda * sum_i r(sqrt(x_i^2 + eps_i^2))."""
+        """f(x) + lambda * sum_i r(sqrt(x_i^2 + eps_i^2)).
+
+        One predicate checks x, eps and r's domain; see ``_perturbed_value``.
+        """
+        return self._perturbed_value(x, eps, np.hypot)
+
+    def _perturbed_value(self, x, eps, radius):
+        """f(x) + lambda * sum_i r(t_i) with t = radius(x, eps).
+
+        For a float x of the problem's dimension and a float array eps of
+        x's shape or 0-d, one predicate guards the whole call: eps >= 0 and
+        t < inf. A finite t needs a finite x and eps, and NaN fails both
+        comparisons, so r(t) is taken without checking t again. Anything
+        else goes through ``check_vector``, ``_check_eps`` and
+        ``penalty_value`` in turn, which raise the errors and warnings that
+        name the array at fault.
+        """
+        x = np.asarray(x, dtype=float)
+        if (x.shape == (self.dimension,) and type(eps) is np.ndarray
+                and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
+            t = _quietly(radius, x, eps)
+            if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
+                r = self.reg._value_in_domain(t)
+                return self.smooth.value(x) + self.lam * float(np.add.reduce(r))
         x = self.check_vector(x)
         eps = self._check_eps(x, eps)
-        return self.smooth.value(x) + self.penalty_value(np.hypot(x, eps))
+        return self.smooth.value(x) + self.penalty_value(radius(x, eps))
 
     def gradient_smooth(self, x):
         return self.smooth.gradient(self.check_vector(x))
@@ -181,17 +230,11 @@ class Problem:
         """Largest Hessian eigenvalue magnitude, computed by LAPACK.
 
         For least squares this is the top eigenvalue of the smaller Gram
-        matrix: A A' when A has fewer rows than columns, else A'A.
+        matrix: A A' when A has fewer rows than columns, else A'A. The
+        smooth term is immutable, so it keeps the value: one eigensolve
+        serves every run on it.
         """
-        s = self.smooth
-        if s.kind == "quadratic":
-            M = s.A
-        elif s.A.shape[0] < s.A.shape[1]:
-            M = s.A @ s.A.T
-        else:
-            M = s.hessian()
-        vals = np.linalg.eigvalsh(M)
-        return float(max(abs(vals[0]), abs(vals[-1])))
+        return self.smooth._lipschitz_gradient()
 
     def perturbed_linearly(self, v):
         """The problem with smooth term f(x) - <v, x> (same penalty).

@@ -75,7 +75,8 @@ def _prepare(t, positive):
     """Validate the evaluation point(s) and return (array, was_scalar)."""
     arr = np.asarray(t, dtype=float)
     in_domain = arr > 0.0 if positive else arr >= 0.0
-    if not (in_domain & (arr < math.inf)).all():  # NaN fails both comparisons
+    # NaN fails both comparisons.
+    if np.count_nonzero(in_domain & (arr < math.inf)) != arr.size:
         if not np.isfinite(arr).all():
             raise ValueError("evaluation point must be finite")
         raise ValueError(
@@ -97,6 +98,10 @@ class _Penalty:
         """r(t) for t >= 0; r(0) = 0 for every family."""
         t, scalar = _prepare(t, positive=False)
         return _ret(self._row.value(t, self.p), scalar)
+
+    def _value_in_domain(self, t):
+        """r(t) for a float array t that the caller has checked lies in [0, inf)."""
+        return self._row.value(t, self.p)
 
     def derivative(self, t):
         """r'(t) for t > 0; strictly positive on (0, inf)."""

@@ -48,7 +48,7 @@ def soft_threshold(z, w):
     """
     z = np.asarray(z, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not (w >= 0.0).all():  # NaN fails the comparison too
+    if np.count_nonzero(w >= 0.0) != w.size:  # NaN fails the comparison too
         raise ValueError("thresholds must be nonnegative")
     return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
 
@@ -76,10 +76,10 @@ def dirl1_weights(x, eps, reg):
     return w
 
 
-def dirl1_subproblem(x, grad, w, beta, lam):
-    """Minimizer of the weighted-l1 model around x: softthresh of the gradient step."""
-    x = np.asarray(x, dtype=float)
-    return soft_threshold(x - grad / beta, lam * np.asarray(w, dtype=float) / beta)
+def dirl1_subproblem(center, w, beta, lam):
+    """Minimizer of the weighted-l1 model around x: the gradient step
+    ``center = x - grad/beta``, soft-thresholded at lam w / beta."""
+    return soft_threshold(center, lam * np.asarray(w, dtype=float) / beta)
 
 
 def dirl2_weights(x, eps, reg):
@@ -105,13 +105,13 @@ def _over_twice(d, z):
     return d / (2.0 * z)
 
 
-def dirl2_subproblem(x, grad, u, beta, lam):
-    """Minimizer of the weighted-l2 model; u_i = inf pins coordinate i to 0."""
-    x = np.asarray(x, dtype=float)
+def dirl2_subproblem(center, u, beta, lam):
+    """Minimizer of the weighted-l2 model around x, from the gradient step
+    ``center = x - grad/beta``; u_i = inf pins coordinate i to 0."""
     u = np.asarray(u, dtype=float)
-    if not (u >= 0.0).all():  # NaN fails the comparison too
+    if np.count_nonzero(u >= 0.0) != u.size:  # NaN fails the comparison too
         raise ValueError("weights must be nonnegative")
-    return np.where(np.isinf(u), 0.0, (x - grad / beta) / (1.0 + (2.0 * lam / beta) * u))
+    return np.where(np.isinf(u), 0.0, center / (1.0 + (2.0 * lam / beta) * u))
 
 
 def eps_factor(alpha, mu, eps_decay):
@@ -193,6 +193,8 @@ class IterateState:
     F_perturbed: float
     step_norm: float
     prox_center_inf: float = math.nan
+    #: x - x_prev, the step that produced this state (None for a start).
+    step: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -222,17 +224,18 @@ class SolveTrace:
 
 
 def _model(algorithm, problem, x, eps, beta):
-    """Gradient at x and the minimizer y of the reweighted model around x.
+    """The gradient step x - grad/beta and the minimizer y of the reweighted
+    model around x.
 
     x is not checked here: the maps check it first, and ``_step`` gets it
     from the objective call that accepted it.
     """
-    grad = problem.smooth.gradient(x)
+    center = x - problem.smooth.gradient(x) / beta
     if algorithm == "DIRL1":
         w = dirl1_weights(x, eps, problem.reg)
-        return grad, dirl1_subproblem(x, grad, w, beta, problem.lam)
+        return center, dirl1_subproblem(center, w, beta, problem.lam)
     u = dirl2_weights(x, eps, problem.reg)
-    return grad, dirl2_subproblem(x, grad, u, beta, problem.lam)
+    return center, dirl2_subproblem(center, u, beta, problem.lam)
 
 
 def _perturbed_value(algorithm, problem, x, eps):
@@ -262,16 +265,22 @@ def _descent_check(F_old, F_new, k):
 def _step(algorithm, state, config, problem):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
-    The objective call that produced ``state`` has checked its x, and the
-    objective call here checks the new x and eps, so each array is checked
-    once per iteration. A step that overflows raises NumericalFailure.
+    Each array is checked once per iteration. The objective call that
+    produced ``state`` has checked its x. The weights' call of r' checks
+    |x| + eps (DIRL1) or hypot(x, eps) (DIRL2), and the subproblem checks
+    the weights. The step is checked to be finite, and the objective call
+    here checks the new x and eps with one predicate. The step x_new - x
+    and the gradient step x - grad/beta are each formed once. A step that
+    overflows raises NumericalFailure.
     """
     x, k = state.x, state.k + 1
     try:
-        grad, y = _model(algorithm, problem, x, state.eps, config.beta)
+        center, y = _model(algorithm, problem, x, state.eps, config.beta)
         x_new = (1.0 - config.alpha) * x + config.alpha * y
         eps_new = config.eps_factor * state.eps
-        step_norm = float(np.abs(x_new - x).max())
+        dx = x_new - x
+        # Here and in run, ufunc reductions skip the Python frame of .max and .sum.
+        step_norm = float(np.maximum.reduce(np.abs(dx)))
         # An eps that broadcasts x to another shape is left to the objective.
         if not math.isfinite(step_norm) and x_new.shape == np.shape(x):
             raise NumericalFailure(
@@ -291,7 +300,8 @@ def _step(algorithm, state, config, problem):
         y=y,
         F_perturbed=F_new,
         step_norm=step_norm,
-        prox_center_inf=float(np.abs(x - grad / config.beta).max()),
+        prox_center_inf=float(np.maximum.reduce(np.abs(center))),
+        step=dx,
     )
 
 
@@ -348,15 +358,21 @@ def validate_config(config, problem):
 
     reg = problem.reg
     if reg.lipschitz_at_zero:
-        lhs = _lipeomorphism_lhs(
-            config, problem, L, abs(reg.second_derivative_at_zero_plus())
-        )
-        report.lipeomorphism_lhs = lhs
-        if lhs >= 1.0:
-            report.warnings.append(
-                f"invertibility inequality alpha*(2 + L/beta + lam*L_r/beta + mu) = "
-                f"{lhs:.4g} >= 1; the iteration map may fail to be bi-Lipschitz"
+        try:
+            lhs = _lipeomorphism_lhs(
+                config, problem, L, abs(reg.second_derivative_at_zero_plus())
             )
+        except ValueError:  # a CustomRegularizer may leave r''(0+) out
+            report.warnings.append(
+                "invertibility inequality not checkable: r''(0+) was not provided"
+            )
+        else:
+            report.lipeomorphism_lhs = lhs
+            if lhs >= 1.0:
+                report.warnings.append(
+                    f"invertibility inequality alpha*(2 + L/beta + lam*L_r/beta + mu) = "
+                    f"{lhs:.4g} >= 1; the iteration map may fail to be bi-Lipschitz"
+                )
     else:
         report.warnings.append(
             "invertibility inequality not checkable before solving "
@@ -450,10 +466,8 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     small_steps = 0
 
     while state.k < config.max_iter:
-        prev = state
-        state = step_fn(prev, config, problem)
-        dx = state.x - prev.x
-        sum_sq_steps += float((dx * dx).sum())
+        state = step_fn(state, config, problem)
+        sum_sq_steps += float(np.add.reduce(state.step * state.step))
         C = max(C, state.prox_center_inf)
         tail.append(state.x.copy())
         if trace_full:

@@ -161,10 +161,10 @@ def test_criterion_04_fixed_point_characterization(bench, sample_traces, capsys)
             grad = bench.gradient_smooth(x)
             if algorithm == "DIRL1":
                 w = dirl1_weights(x, np.zeros(2), bench.reg)
-                y = dirl1_subproblem(x, grad, w, BETA, bench.lam)
+                y = dirl1_subproblem(x - grad / BETA, w, BETA, bench.lam)
             else:
                 u = dirl2_weights(x, np.zeros(2), bench.reg)
-                y = dirl2_subproblem(x, grad, u, BETA, bench.lam)
+                y = dirl2_subproblem(x - grad / BETA, u, BETA, bench.lam)
             gap = float(np.linalg.norm(x - y))
             assert gap <= 10.0 * config.tol_step
             worst = max(worst, gap)

@@ -7,6 +7,7 @@ the same bytes and raise the same exception type with the same message.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_dirl2_weights_match_oracle(pair, reg):
 def test_dirl2_subproblem_matches_oracle(pair, beta, lam):
     x, u = pair
     grad = np.ones_like(x)
-    assert outcome(dirl2_subproblem, x, grad, u, beta, lam) == outcome(
+    assert outcome(dirl2_subproblem, x - grad / beta, u, beta, lam) == outcome(
         old_dirl2_subproblem, x, grad, u, beta, lam
     )
 
@@ -229,3 +230,106 @@ def old_penalty_value(problem, t):
 def test_penalty_value_matches_oracle(t):
     problem = PROBLEMS[2]
     assert outcome(problem.penalty_value, t) == outcome(old_penalty_value, problem, t)
+
+
+def old_perturbed_value_l1(problem, x, eps):
+    x = problem.check_vector(x)
+    eps = problem._check_eps(x, eps)
+    return problem.smooth.value(x) + problem.penalty_value(np.abs(x) + eps)
+
+
+def old_perturbed_value_l2(problem, x, eps):
+    x = problem.check_vector(x)
+    eps = problem._check_eps(x, eps)
+    return problem.smooth.value(x) + problem.penalty_value(np.hypot(x, eps))
+
+
+def outcome_warned(fn, *args):
+    """``outcome`` under numpy's default floating-point handling, with every
+    warning raised as an error as under ``-W error``: the warnings a call
+    gives, and where it gives them, count too."""
+    with np.errstate(all="warn", under="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn(*args)
+        except Exception as exc:  # the exception is the outcome
+            return ("raised", type(exc), str(exc))
+    return _value(out)
+
+
+OBJECTIVE_PROBLEMS = [
+    Problem(SmoothTerm("quadratic", np.diag(np.arange(1.0, n + 1)), np.full(n, -0.5), 0.25),
+            Regularizer(family, 0.5), 0.7)
+    for n in (0, 1, 2, 5) for family in ("LPN", "LOG")
+]
+OBJECTIVES = [
+    ("l1", "perturbed_value_l1", old_perturbed_value_l1),
+    ("l2", "perturbed_value_l2", old_perturbed_value_l2),
+]
+
+
+@st.composite
+def objective_args(draw):
+    """A problem, an x of its dimension or another shape, and an eps that is a
+    same-shape, 0-d or mismatched array, a numpy or Python float, or a list."""
+    problem = draw(st.sampled_from(OBJECTIVE_PROBLEMS))
+    n = problem.dimension
+    x = draw(arrays(st.just((n,)) | SHAPES))
+    kind = draw(st.sampled_from(("same", "same", "same", "0-d", "other", "float64",
+                                 "float", "list")))
+    if kind == "same":
+        eps = draw(arrays(st.just(x.shape)))
+    elif kind == "0-d":
+        eps = draw(arrays(st.just(())))
+    elif kind == "other":
+        eps = draw(arrays())
+    elif kind == "float64":
+        eps = np.float64(draw(ELEMENTS))
+    elif kind == "float":
+        eps = draw(ELEMENTS)
+    else:
+        eps = draw(arrays(st.just(x.shape))).tolist()
+    return problem, x, eps
+
+
+@pytest.mark.parametrize("name, method, oracle", OBJECTIVES, ids=[o[0] for o in OBJECTIVES])
+@SETTINGS
+@given(args=objective_args())
+def test_perturbed_value_matches_oracle(name, method, oracle, args):
+    problem, x, eps = args
+    current = getattr(problem, method)
+    assert outcome(current, x, eps) == outcome(oracle, problem, x, eps)
+    assert outcome_warned(current, x, eps) == outcome_warned(oracle, problem, x, eps)
+
+
+@pytest.mark.parametrize("name, method, oracle", OBJECTIVES, ids=[o[0] for o in OBJECTIVES])
+@pytest.mark.parametrize("x, eps", [
+    ([1.0, 2.0], [0.5]),  # mismatched shapes
+    ([1.0, 2.0], [[0.5, 0.5]]),
+    ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]),
+    ([1.0, 2.0], 0.5),  # 0-d eps, as a float and as arrays
+    ([1.0, 2.0], np.float64(0.5)),
+    ([1.0, 2.0], np.array(0.5)),
+    ([1.0, 2.0], np.array(-0.5)),
+    ([1.0, 2.0], np.array(math.nan)),
+    ([math.nan, 2.0], [0.5, 0.5]),  # NaN in x, in eps, in both
+    ([1.0, 2.0], [0.5, math.nan]),
+    ([math.nan, 2.0], [math.nan, 0.5]),
+    ([math.inf, 2.0], [0.5, 0.5]),  # +-inf in x and in eps
+    ([-math.inf, 2.0], [0.5, -math.inf]),
+    ([1.0, 2.0], [math.inf, 0.5]),
+    ([1.0, 2.0], [0.5, -math.inf]),
+    ([-0.0, 0.0], [-0.0, 0.0]),  # -0.0 passes as 0
+    ([-0.0, 2.0], np.array(-0.0)),
+    ([1.0, 2.0], [0.5, -1e-300]),  # negative eps
+    ([1e308, 2.0], [1e308, 0.5]),  # |x| + eps overflows; so does hypot
+    ([-1e308, 2.0], np.array(1e308)),
+    ([5e-324, 2.0], [5e-324, 0.5]),  # subnormal entries
+])
+def test_perturbed_value_matches_oracle_on_edge_cases(name, method, oracle, x, eps):
+    problem = OBJECTIVE_PROBLEMS[4]  # n = 2, LPN
+    assert problem.dimension == 2
+    x = np.array(x)
+    current = getattr(problem, method)
+    assert outcome(current, x, eps) == outcome(oracle, problem, x, eps)
+    assert outcome_warned(current, x, eps) == outcome_warned(oracle, problem, x, eps)

@@ -16,6 +16,7 @@ from dirw.problems import (
     problem_from_dict,
 )
 from dirw.regularizers import CustomRegularizer, Regularizer
+from dirw.solvers import SolverConfig, run
 
 
 def least_squares_identity(n, reg=None, lam=1.0):
@@ -191,6 +192,29 @@ def test_least_squares_hessian_is_cached_and_read_only():
         H[0, 0] = 1.0
     pert = _exp_problem(smooth).perturbed_linearly(np.zeros(3))
     assert np.array_equal(pert.smooth.hessian(), H)
+
+
+@pytest.mark.parametrize("kind, shape", [("quadratic", (3, 3)), ("least_squares", (6, 4)),
+                                         ("least_squares", (4, 6))])
+def test_lipschitz_is_one_eigensolve_per_smooth_term(monkeypatch, kind, shape):
+    gen = np.random.default_rng(4)
+    A = gen.normal(size=shape)
+    if kind == "quadratic":
+        A = A + A.T
+    smooth = SmoothTerm(kind, A, gen.normal(size=shape[0]))
+    want = copy.deepcopy(smooth)._lipschitz_gradient()  # an unshared term's eigensolve
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    for lam, x0 in [(0.1, np.zeros(shape[1])), (0.3, np.ones(shape[1])), (0.1, -np.ones(shape[1]))]:
+        problem = Problem(smooth, Regularizer("LPN", 0.5), lam)
+        run(SolverConfig("DIRL1", beta=50.0, max_iter=5), problem, x0)
+        assert problem.estimate_lipschitz_gradient().hex() == want.hex()
+    assert len(calls) == 1
+    for twin in (copy.deepcopy(smooth), pickle.loads(pickle.dumps(smooth))):
+        assert twin._lipschitz is None  # a copy starts empty
+        L = Problem(twin, Regularizer("LPN", 0.5), 1.0).estimate_lipschitz_gradient()
+        assert L.hex() == want.hex()
+    assert len(calls) == 3
 
 
 def test_load_problem_rejects_boolean_lambda(tmp_path, bench):

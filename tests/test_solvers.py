@@ -79,7 +79,7 @@ def test_dirl1_weights():
 def test_dirl1_subproblem_composition():
     # x - grad/beta = (3, -0.1), lam w / beta = (1, 1)
     y = dirl1_subproblem(
-        np.array([3.0, -0.1]), np.zeros(2), np.array([1.0, 1.0]), 1.0, 1.0
+        np.array([3.0, -0.1]), np.array([1.0, 1.0]), 1.0, 1.0
     )
     assert np.allclose(y, [2.0, 0.0])
 
@@ -93,7 +93,7 @@ def test_dirl1_subproblem_is_model_argmin(rng):
         w = rng.uniform(0.1, 2.0, n)
         beta = rng.uniform(0.5, 4.0)
         lam = rng.uniform(0.1, 2.0)
-        y = dirl1_subproblem(x, grad, w, beta, lam)
+        y = dirl1_subproblem(x - grad / beta, w, beta, lam)
 
         def model(i, t):
             return grad[i] * (t - x[i]) + 0.5 * beta * (t - x[i]) ** 2 + lam * w[i] * abs(t)
@@ -109,7 +109,7 @@ def test_dirl1_fixed_point_at_stationary_point(bench):
     x_star = np.array([0.0, 1.0])
     grad = bench.gradient_smooth(x_star)
     w = dirl1_weights(x_star, np.zeros(2), bench.reg)
-    y = dirl1_subproblem(x_star, grad, w, 4.0, bench.lam)
+    y = dirl1_subproblem(x_star - grad / 4.0, w, 4.0, bench.lam)
     assert np.allclose(y, x_star, atol=1e-14)
 
 
@@ -291,9 +291,9 @@ def test_dirl2_weights_overflow_to_inf_without_a_warning():
 
 
 def test_dirl2_subproblem():
-    y = dirl2_subproblem(np.array([2.0]), np.zeros(1), np.array([0.5]), 1.0, 1.0)
+    y = dirl2_subproblem(np.array([2.0]), np.array([0.5]), 1.0, 1.0)
     assert y[0] == pytest.approx(1.0)
-    y0 = dirl2_subproblem(np.array([2.0]), np.zeros(1), np.array([np.inf]), 1.0, 1.0)
+    y0 = dirl2_subproblem(np.array([2.0]), np.array([np.inf]), 1.0, 1.0)
     assert y0[0] == 0.0
 
 
@@ -306,7 +306,7 @@ def test_dirl2_subproblem_stationarity(rng):
         u = rng.uniform(0.05, 5.0, n)
         beta = rng.uniform(0.5, 4.0)
         lam = rng.uniform(0.1, 2.0)
-        y = dirl2_subproblem(x, grad, u, beta, lam)
+        y = dirl2_subproblem(x - grad / beta, u, beta, lam)
         res = grad + beta * (y - x) + 2.0 * lam * u * y
         assert np.max(np.abs(res)) <= 1e-10
 
@@ -354,9 +354,9 @@ def test_fixed_point_consistency(bench, algorithm):
     x = trace.final_x
     grad = bench.gradient_smooth(x)
     if algorithm == "DIRL1":
-        y = dirl1_subproblem(x, grad, dirl1_weights(x, np.zeros(2), bench.reg), 4.0, 1.0)
+        y = dirl1_subproblem(x - grad / 4.0, dirl1_weights(x, np.zeros(2), bench.reg), 4.0, 1.0)
     else:
-        y = dirl2_subproblem(x, grad, dirl2_weights(x, np.zeros(2), bench.reg), 4.0, 1.0)
+        y = dirl2_subproblem(x - grad / 4.0, dirl2_weights(x, np.zeros(2), bench.reg), 4.0, 1.0)
     assert np.linalg.norm(x - y) <= 10.0 * config.tol_step
 
 
@@ -437,6 +437,19 @@ def test_validate_warns_dirl2_for_lipschitz_regularizer(bench):
         assert any("smoothness condition fails" in w for w in report.warnings), reg
     report_lpn = validate_config(SolverConfig("DIRL2"), bench)
     assert not any("smoothness condition fails" in w for w in report_lpn.warnings)
+
+
+def test_custom_regularizer_without_second_derivative_at_zero_runs(bench):
+    # r'(0+) = 1 is finite, and r''(0+) was not given: the invertibility
+    # inequality cannot be evaluated, which is a warning, not an error.
+    reg = CustomRegularizer(lambda t: t / (1 + t), lambda t: 1 / (1 + t) ** 2,
+                            lambda t: -2 / (1 + t) ** 3, 1.0)
+    problem = Problem(bench.smooth, reg, 1.0)
+    report = validate_config(SolverConfig("DIRL1"), problem)
+    assert report.ok and report.lipeomorphism_lhs is None
+    assert any("invertibility inequality not checkable" in w for w in report.warnings)
+    trace = run(SolverConfig("DIRL1"), problem, [3, 3])
+    assert trace.converged and "lipeomorphism_lhs" not in trace.diagnostics
 
 
 def test_solver_config_validation():
