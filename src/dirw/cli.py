@@ -140,6 +140,8 @@ class ExperimentConfig:
         if any(bound.ndim > 1 for bound in bounds):
             raise ValueError("init_box bounds must be numbers or lists of numbers")
         pert, scale = self.perturbation, self.perturbation_scale
+        if pert is not None and scale is not None:
+            raise ValueError("set perturbation or perturbation_scale, not both")
         pert = None if pert is None else real_array("perturbation", pert)
         if pert is not None and pert.ndim != 1:
             raise ValueError("perturbation must be a list of numbers")
@@ -189,7 +191,7 @@ def run_escape(exp):
     problem = resolve_problem(exp.problem)
     n = problem.dimension
     perturbation = exp.perturbation
-    if perturbation is None and exp.perturbation_scale:
+    if exp.perturbation_scale:  # never set together with perturbation
         s = exp.perturbation_scale
         perturbation = make_rng(exp.seed, "perturbation").uniform(-s, s, n)
     if perturbation is not None:
@@ -292,7 +294,7 @@ def cmd_solve(args):
         pass
 
     if config.algorithm == "DIRL2" and trace.converged and problem.dimension <= 20:
-        points = _tail_sample_points(trace, config, problem.dimension)
+        points = _tail_sample_points(trace)
         L_S = estimate_map_lipschitz(config, problem, points)
         diagnostics["subproblem_lipschitz_estimate"] = L_S
         diagnostics["alpha_below_inverse_1_plus_ls"] = config.alpha < 1.0 / (1.0 + L_S)
@@ -318,18 +320,10 @@ def cmd_solve(args):
     return 0 if trace.converged else 2
 
 
-def _tail_sample_points(trace, config, n):
-    """Stack up to five (x, eps) pairs from the trace tail; eps is
-    reconstructed from the deterministic decay schedule."""
-    eps0 = config.initial_eps(n)
-    points = []
-    first_k = trace.iterations - (len(trace.tail) - 1)
-    picks = np.linspace(0, len(trace.tail) - 1, num=min(5, len(trace.tail)))
-    for idx in picks.astype(int):
-        k = first_k + idx
-        eps_k = eps0 * config.eps_factor**k
-        points.append(np.concatenate([trace.tail[idx], eps_k]))
-    return points
+def _tail_sample_points(trace):
+    """Up to five (x, eps) states from the trace tail, stacked as vectors."""
+    picks = np.linspace(0, len(trace.tail) - 1, num=min(5, len(trace.tail))).astype(int)
+    return [np.concatenate([trace.tail[i], trace.tail_eps[i]]) for i in picks.tolist()]
 
 
 def cmd_classify(args):

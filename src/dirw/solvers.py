@@ -208,6 +208,10 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
+    """What ``run`` returns. ``tail``/``tail_eps`` hold x and eps of the last
+    TAIL_WINDOW states, ``xs``/``eps_history`` every state under ``trace_full``
+    (else None); all share the steps' arrays, each stored once, uncopied."""
+
     algorithm: str
     records: list
     converged: bool
@@ -218,6 +222,7 @@ class SolveTrace:
     final_residual: float
     diagnostics: dict
     tail: list
+    tail_eps: list
     xs: list = None
     eps_history: list = None
     config: SolverConfig = None
@@ -401,12 +406,12 @@ def make_initial_state(config, problem, x0):
     )
 
 
-def _record(state):
+def _record(state, eps_inf):
     return TraceRecord(
         k=state.k,
         F_perturbed=state.F_perturbed,
         step_norm=state.step_norm,
-        eps_inf=float(state.eps.max()),
+        eps_inf=eps_inf,
         support_bits=analysis._sign_string(state.y, analysis.SUPPORT_TOL),
     )
 
@@ -440,7 +445,8 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     together with ||eps||_inf <= tol_eps. Returns a SolveTrace whose
     per-iteration records hold scalars only; pass ``trace_full=True`` to
     also keep every iterate. ``record_every`` thins the records (the first
-    and last iterations are always kept).
+    and last iterations are always kept). Each (x, eps) is stored once,
+    uncopied, in one history of TAIL_WINDOW states (all under trace_full).
 
     Raises ConfigValidationError on hard parameter errors and
     NumericalFailure if monotonic descent or its telescoped lower bound
@@ -456,10 +462,9 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     step_fn = dirl1_step if config.algorithm == "DIRL1" else dirl2_step
 
     state = make_initial_state(config, problem, x0)
-    records = [_record(state)]
-    xs = [state.x.copy()] if trace_full else None
-    eps_history = [state.eps.copy()] if trace_full else None
-    tail = deque([state.x.copy()], maxlen=TAIL_WINDOW)
+    F0, factor, eps_inf = state.F_perturbed, config.eps_factor, float(state.eps.max())
+    records = [_record(state, eps_inf)]
+    history = deque([(state.x, state.eps)], maxlen=None if trace_full else TAIL_WINDOW)
     sum_sq_steps = 0.0
     C = -math.inf
     converged = False
@@ -467,30 +472,30 @@ def run(config, problem, x0, trace_full=False, record_every=1):
 
     while state.k < config.max_iter:
         state = step_fn(state, config, problem)
+        # The step scales eps by factor too; rounding is monotone, so this is eps.max() to the bit.
+        eps_inf = factor * eps_inf
         sum_sq_steps += float(np.add.reduce(state.step * state.step))
         C = max(C, state.prox_center_inf)
-        tail.append(state.x.copy())
-        if trace_full:
-            xs.append(state.x.copy())
-            eps_history.append(state.eps.copy())
+        history.append((state.x, state.eps))
         small_steps = small_steps + 1 if state.step_norm <= config.tol_step else 0
-        done = small_steps >= 10 and float(state.eps.max()) <= config.tol_eps
+        done = small_steps >= 10 and eps_inf <= config.tol_eps
         if state.k % record_every == 0 or done or state.k == config.max_iter:
-            records.append(_record(state))
+            records.append(_record(state, eps_inf))
         if done:
             converged = True
             break
 
     if state.k > 0:
         lower = (config.beta / config.alpha - L / 2.0) * sum_sq_steps
-        drop = records[0].F_perturbed - state.F_perturbed
+        drop = F0 - state.F_perturbed
         if drop < lower - 1e-8 * state.k:
             raise NumericalFailure(
                 f"telescoped descent bound violated: drop={drop!r} < {lower!r}",
                 iteration=state.k,
             )
 
-    tail = list(tail)
+    xs, eps_history = map(list, zip(*history))
+    tail = xs[-TAIL_WINDOW:]
     limit_x = analysis.extrapolate_limit(tail)
     residual = analysis.stationarity_residual(problem, limit_x).residual_active
     return SolveTrace(
@@ -504,8 +509,9 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         final_residual=residual,
         diagnostics=_post_run_diagnostics(config, problem, L, C),
         tail=tail,
-        xs=xs,
-        eps_history=eps_history,
+        tail_eps=eps_history[-TAIL_WINDOW:],
+        xs=xs if trace_full else None,
+        eps_history=eps_history if trace_full else None,
         config=config,
     )
 

@@ -10,12 +10,13 @@ from dirw.cli import (
     MAX_NUM_INITS,
     ExperimentConfig,
     _classify_label,
+    _tail_sample_points,
     main,
     parse_x0,
     run_escape,
 )
 from dirw.problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
-from dirw.solvers import SolverConfig, run
+from dirw.solvers import TAIL_WINDOW, SolverConfig, run
 
 
 def write_json(path, data):
@@ -308,6 +309,21 @@ def test_experiment_config_rejects_bad_perturbation_scale(tmp_path, scale):
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("scale", [0.5, 0.0])
+def test_experiment_config_refuses_perturbation_with_scale(tmp_path, capsys, scale):
+    # Both set, one of them would go unused.
+    data = _reloaded(tmp_path, perturbation=[0.1, 0.0], perturbation_scale=scale)
+    both = "perturbation or perturbation_scale, not both"
+    with pytest.raises(ValueError, match=both):
+        ExperimentConfig.from_dict(data)
+    with pytest.raises(ValueError, match=both):
+        ExperimentConfig(**dict(data, solver=SolverConfig("DIRL1")))
+    cfg = experiment(tmp_path, perturbation=[0.1, 0.0], perturbation_scale=scale)
+    assert main(["escape", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: set {both}\n"
+
+
 def _reloaded(tmp_path, **overrides):
     """An experiment config after a JSON round trip (inf/nan as Infinity/NaN)."""
     with open(experiment(tmp_path, **overrides)) as fh:
@@ -449,3 +465,14 @@ def test_experiment_config_bounds_num_inits(tmp_path):
         == MAX_NUM_INITS
     with pytest.raises(ValueError, match=f"num_inits must be at most {MAX_NUM_INITS}"):
         ExperimentConfig.from_dict(_reloaded(tmp_path, num_inits=MAX_NUM_INITS + 1))
+
+
+def test_tail_sample_points_are_iterates(bench):
+    # the L_S points of `dirw solve` are states the solver reached, not a
+    # replay of the eps schedule
+    trace = run(SolverConfig("DIRL2"), bench, np.array([3.0, 3.0]), trace_full=True)
+    assert trace.converged and trace.iterations >= TAIL_WINDOW
+    first = trace.iterations - (TAIL_WINDOW - 1)
+    want = [np.concatenate([trace.xs[k], trace.eps_history[k]])
+            for k in (first, first + 15, first + 31, first + 47, first + 63)]
+    assert [v.tobytes() for v in _tail_sample_points(trace)] == [v.tobytes() for v in want]

@@ -348,7 +348,7 @@ def test_estimate_map_lipschitz(bench, rng):
                      for _ in range(5)]),
             (prob3, [np.concatenate([rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 1.0, 3)])
                      for _ in range(5)]),
-            (prob2, _tail_sample_points(trace, config, 2)),
+            (prob2, _tail_sample_points(trace)),
         ):
             L_S = estimate_map_lipschitz(config, prob, points)
             assert 0.0 < L_S < 10.0

@@ -560,7 +560,7 @@ FINGERPRINT_ENTRIES = st.one_of(
 @given(y=hnp.arrays(np.float64, st.integers(0, 40), elements=FINGERPRINT_ENTRIES))
 def test_record_bits_are_the_support_fingerprint(y):
     state = IterateState(k=0, x=y, eps=np.ones(1), y=y, F_perturbed=0.0, step_norm=0.0)
-    assert _record(state).support_bits == support(y).bits
+    assert _record(state, 1.0).support_bits == support(y).bits
 
 
 def test_tail_keeps_the_last_iterates_as_a_list(bench):
@@ -571,6 +571,47 @@ def test_tail_keeps_the_last_iterates_as_a_list(bench):
         assert len(trace.tail) == min(trace.iterations + 1, TAIL_WINDOW)
         for got, want in zip(trace.tail, trace.xs[-TAIL_WINDOW:]):
             assert got.tobytes() == want.tobytes()
+        assert type(trace.tail_eps) is list and len(trace.tail_eps) == len(trace.tail)
+        for got, want in zip(trace.tail_eps, trace.eps_history[-TAIL_WINDOW:]):
+            assert got.tobytes() == want.tobytes()
+        # each state is kept once: the trace shares the last step's arrays
+        assert trace.tail[-1] is trace.final_x and trace.tail_eps[-1] is trace.final_eps
+
+
+def _eps_inf_bits(trace):
+    """Each record's eps_inf, and the max of the eps it records, as hex lists."""
+    return ([r.eps_inf.hex() for r in trace.records],
+            [float(trace.eps_history[r.k].max()).hex() for r in trace.records])
+
+
+@pytest.mark.parametrize("eps0", [1.0, [1.0, 0.3]])
+@pytest.mark.parametrize("eps_decay", ["damped", "geometric"])
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_record_eps_inf_is_the_max_of_eps(bench, algorithm, eps_decay, eps0):
+    config = SolverConfig(algorithm, eps_decay=eps_decay, eps0=eps0)
+    trace = run(config, bench, np.array([3.0, 3.0]), trace_full=True)
+    assert trace.converged and len(trace.records) == trace.iterations + 1
+    got, want = _eps_inf_bits(trace)
+    assert got == want
+
+
+@pytest.mark.parametrize("eps_decay", ["damped", "geometric"])
+@pytest.mark.parametrize("d, iterations", [(0.1, 4251), (0.08, 5308)])
+def test_record_eps_inf_is_exact_down_to_underflow(d, iterations, eps_decay):
+    # f = x'diag(2, d)x / 2 + (0.3, -2.5)'x: long DIRL2 LPN solves in which
+    # eps falls to subnormals (damped, d = 0.08) or to 0 (geometric)
+    problem = Problem(SmoothTerm("quadratic", np.diag([2.0, d]), np.array([0.3, -2.5])),
+                      Regularizer("LPN", 0.5), 1.0)
+    trace = run(SolverConfig("DIRL2", eps_decay=eps_decay), problem, np.array([3.0, 3.0]),
+                trace_full=True)
+    assert trace.converged and trace.iterations == iterations
+    got, want = _eps_inf_bits(trace)
+    assert got == want
+    last = trace.records[-1].eps_inf
+    if eps_decay == "geometric":
+        assert last == 0.0
+    elif d == 0.08:
+        assert 0.0 < last < sys.float_info.min
 
 
 #: Signed zeros, subnormals, the float extremes, NaNs of both signs and
