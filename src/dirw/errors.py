@@ -66,7 +66,7 @@ def real(name, value, low=-math.inf, high=math.inf):
     raise ValueError(f"{name} must be a finite number in ({low:g}, {high:g}), got {value!r}")
 
 
-def integer(name, value, low=-math.inf):
+def integer(name, value, low):
     """``value`` as an int of at least ``low``; floats such as 3.0 are refused."""
     if isinstance(value, (int, np.integer)) and type(value) is not bool and value >= low:
         return int(value)

@@ -13,7 +13,9 @@ either algorithm is block upper triangular in the coordinates
 A stationary point is an unstable fixed point exactly when some
 eigenvalue magnitude exceeds 1, which happens iff H (equivalently
 P^-1 H, P being positive diagonal) has a negative eigenvalue: saddles
-repel the iteration.
+repel the iteration. Each Jacobian is therefore built on the
+classification of x* (``classify_stationary_point``): its stationarity
+gate, its support, its H and, for DIRL1 (P = I), the spectrum of H.
 """
 
 import math
@@ -24,14 +26,12 @@ import numpy as np
 from .analysis import (
     classify_stationary_point,
     hessian_norm,
-    restricted_hessian,
-    stationarity_residual,
     symmetric_eigen,
+    SaddleReport,
     CLASS_STRICT_LOCAL_MIN,
     CLASS_STRICT_SADDLE,
-    RESIDUAL_TOL,
 )
-from .errors import NonStationaryPointError, NumericalFailure
+from .errors import NumericalFailure
 from .solvers import eps_factor
 
 #: Eigenvalue magnitudes above 1 + INSTABILITY_DELTA make a fixed point unstable.
@@ -50,8 +50,10 @@ class FixedPointJacobian:
     scalar_J: float
     scalar_eps: float
     spectrum: np.ndarray
-    #: Active-block eigenvalues, set by dirl{1,2}_jacobian; not in to_dict().
+    #: Active-block eigenvalues and the SaddleReport of x* that the block is
+    #: built on, set by dirl{1,2}_jacobian; not in to_dict().
     block_eigenvalues: np.ndarray = field(init=False, default=None, repr=False)
+    saddle: SaddleReport = field(init=False, default=None, repr=False)
 
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
@@ -81,33 +83,29 @@ class FixedPointJacobian:
 
 
 def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
-    """DT at (x*, 0): active block I - (alpha/beta) P^-1 H, with P = I for DIRL1.
+    """DT at (x*, 0), built on the classification of x*.
 
+    ``classify_stationary_point`` gates x* (a non-stationary point raises
+    NonStationaryPointError) and gives the support and the restricted
+    Hessian H. The active block is I - (alpha/beta) P^-1 H; for DIRL1,
+    P = I and the block eigenvalues come from H's spectrum in that report.
     Only DIRL1 couples the active block to eps, through r''(|x_i*|).
     """
     x_star = np.asarray(x_star, dtype=float)
-    report = stationarity_residual(prob, x_star, tol_residual=RESIDUAL_TOL)
-    if not report.is_stationary:
-        raise NonStationaryPointError(
-            f"fixed-point Jacobian needs a stationary point; "
-            f"residual={report.residual_active:.3e}",
-            residual=report.residual_active,
-        )
-    pattern = report.pattern
-    act, inact = list(pattern.active), list(pattern.inactive)
+    saddle = classify_stationary_point(prob, x_star)
+    act, inact = list(saddle.pattern.active), list(saddle.pattern.inactive)
     if algorithm == "DIRL2" and inact and math.isfinite(prob.reg.derivative_at_zero_plus()):
         raise ValueError(
             "weighted-l2 fixed-point Jacobian requires r'(0+) = inf or an "
             "empty inactive set"
         )
     n = prob.dimension
-    H = restricted_hessian(prob, x_star, pattern)
+    H = saddle.restricted
     P = np.ones(len(act))
-    vals = np.zeros(0)
-    if act:
-        if algorithm == "DIRL2":
-            xa = np.abs(x_star[act])
-            P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
+    vals = saddle.eigenvalues
+    if algorithm == "DIRL2" and act:
+        xa = np.abs(x_star[act])
+        P = 1.0 + (prob.lam / beta) * np.atleast_1d(prob.reg.derivative(xa)) / xa
         # P^-1/2 H P^-1/2 is symmetric and shares its eigenvalues with P^-1 H
         inv_sqrt = 1.0 / np.sqrt(P)
         vals, _ = symmetric_eigen(inv_sqrt[:, None] * H * inv_sqrt[None, :])
@@ -139,6 +137,7 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         spectrum=spectrum,
     )
     jac.block_eigenvalues = block_vals
+    jac.saddle = saddle
     return jac
 
 
@@ -272,9 +271,9 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     minimum with alpha < beta/rho must have every active-block eigenvalue
     magnitude below 1. Any mismatch is reported, not raised.
     """
-    report = classify_stationary_point(prob, x_star)
     jacobian = dirl1_jacobian if algorithm == "DIRL1" else dirl2_jacobian
     jac = jacobian(prob, x_star, alpha, beta, mu)
+    report = jac.saddle
     unstable = unstable_fixed_point_check(jac)
     rho = hessian_norm(report)
     alpha_ok = rho == 0.0 or alpha < beta / rho

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import make_rng
-from .analysis import check_support_identification, symmetric_eigen
+from .analysis import check_support_identification
 from .jacobians import finite_difference_jacobian, full_jacobian
 from .problems import benchmark2d
 from .regularizers import Regularizer
@@ -41,7 +41,7 @@ class CheckResult:
     detail: str
 
 
-def _result(name, passed, detail=""):
+def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
@@ -182,25 +182,6 @@ def check_jacobian_fd():
     return _result("jacobian-finite-difference", True, f"{points} points per algorithm")
 
 
-def check_eigen_reconstruction():
-    """symmetric_eigen returns ascending eigenpairs with M V = V diag(vals)."""
-    matrices = 20
-    rng = make_rng(4, "selfcheck", 4)
-    for _ in range(matrices):
-        n = int(rng.integers(1, 33))
-        B = rng.normal(0.0, 1.0, (n, n))
-        M = 0.5 * (B + B.T)
-        vals, vecs = symmetric_eigen(M)
-        if np.any(np.diff(vals) < 0.0):
-            return _result("eigen-reconstruction", False, "eigenvalues not ascending")
-        err = np.max(np.abs(M @ vecs - vecs * vals))
-        if err > 1e-8 * max(1.0, np.linalg.norm(M)):
-            return _result(
-                "eigen-reconstruction", False, f"residual {err:.2e} at n={n}"
-            )
-    return _result("eigen-reconstruction", True, f"{matrices} random matrices")
-
-
 def check_support_identification_run():
     """Sign fingerprints freeze over the 50-record tail of a converged DIRL1 run."""
     prob = benchmark2d()
@@ -216,7 +197,6 @@ ALL_CHECKS = (
     check_descent_and_convergence,
     check_fixed_point_consistency,
     check_jacobian_fd,
-    check_eigen_reconstruction,
     check_support_identification_run,
 )
 

@@ -263,7 +263,12 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") >= 8
+    passed = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
+    assert passed == [
+        "derivative-consistency", "concavity", "soft-threshold-nonexpansive",
+        "descent-and-convergence", "fixed-point-consistency",
+        "jacobian-finite-difference", "support-identification",
+    ]
 
 
 def test_parse_x0_forms():

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from dirw.analysis import CLASS_STRICT_LOCAL_MIN, CLASS_STRICT_SADDLE, symmetric_eigen
+from dirw.analysis import (
+    CLASS_STRICT_LOCAL_MIN,
+    CLASS_STRICT_SADDLE,
+    classify_stationary_point,
+    hessian_norm,
+    symmetric_eigen,
+)
 from dirw.cli import _tail_sample_points
 from dirw.errors import NonStationaryPointError, NumericalFailure
 from dirw.jacobians import (
@@ -46,6 +52,17 @@ def test_dirl1_jacobian_at_saddle(bench, saddle_x2):
 def test_dirl1_jacobian_rejects_nonstationary(bench):
     with pytest.raises(NonStationaryPointError):
         dirl1_jacobian(bench, [1.0, 1.0], ALPHA, BETA, MU)
+
+
+@pytest.mark.parametrize("jacobian", [dirl1_jacobian, dirl2_jacobian])
+def test_jacobian_gate_is_the_classification_gate(bench, jacobian):
+    with pytest.raises(NonStationaryPointError) as direct:
+        classify_stationary_point(bench, [1.0, 1.0])
+    with pytest.raises(NonStationaryPointError,
+                       match=r"^point is not stationary: residual=.*, margin=") as err:
+        jacobian(bench, [1.0, 1.0], ALPHA, BETA, MU)
+    assert str(err.value) == str(direct.value)
+    assert err.value.residual == direct.value.residual
 
 
 def test_dirl2_jacobian_at_minimum(bench):
@@ -413,3 +430,35 @@ def test_assemble_full_matches_loop_builder(bench, saddle_x2, jacobian):
         jac = jacobian(prob, x_star, ALPHA, BETA, MU)
         assert jac.assemble_full().tobytes() == _loop_assembled(jac).tobytes()
     assert jac.active == (0, 1, 2) and np.all(jac.block_II != 0.0)
+
+
+def _classified_points(bench, saddle_x2):
+    """benchmark2d's saddle, minimum and origin, the coupled problem's DIRL1
+    limit and the all-active 3-D point."""
+    coupled = coupled_problem()
+    limit = run(SolverConfig("DIRL1"), coupled, np.array([1.0, 2.0])).limit_x
+    return [(bench, np.array([0.0, saddle_x2])), (bench, np.array([0.0, 1.0])),
+            (bench, np.zeros(2)), (coupled, limit), _all_active_3d()]
+
+
+@pytest.mark.parametrize("jacobian", [dirl1_jacobian, dirl2_jacobian])
+def test_jacobian_is_built_on_one_classification(bench, saddle_x2, jacobian):
+    labels = set()
+    for prob, x_star in _classified_points(bench, saddle_x2):
+        jac = jacobian(prob, x_star, ALPHA, BETA, MU)
+        direct = classify_stationary_point(prob, x_star)
+        assert jac.saddle.classification == direct.classification
+        assert jac.saddle.eigenvalues.tobytes() == direct.eigenvalues.tobytes()
+        assert jac.saddle.restricted.tobytes() == direct.restricted.tobytes()
+        assert jac.saddle.pattern.active == jac.active
+        if jacobian is dirl1_jacobian:
+            # P = I: the block eigenvalues are the spectral map of H's eigenvalues
+            expected = 1.0 - (ALPHA / BETA) * jac.saddle.eigenvalues
+            assert jac.block_eigenvalues.tobytes() == expected.tobytes()
+        eq = saddle_unstable_equivalence(prob, x_star, ALPHA, BETA, MU, jac.algorithm)
+        assert eq.classification == direct.classification
+        assert eq.rho == hessian_norm(direct)
+        assert eq.block_eigenvalues.tobytes() == jac.block_eigenvalues.tobytes()
+        assert eq.consistent
+        labels.add(direct.classification)
+    assert labels == {CLASS_STRICT_LOCAL_MIN, CLASS_STRICT_SADDLE}

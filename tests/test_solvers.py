@@ -607,6 +607,9 @@ def test_record_eps_inf_is_exact_down_to_underflow(d, iterations, eps_decay):
     assert trace.converged and trace.iterations == iterations
     got, want = _eps_inf_bits(trace)
     assert got == want
+    # every kept state passed the objective's check, so --trace-full writes no Infinity
+    assert all(np.isfinite(x).all() for x in trace.xs)
+    assert all(np.isfinite(eps).all() for eps in trace.eps_history)
     last = trace.records[-1].eps_inf
     if eps_decay == "geometric":
         assert last == 0.0

@@ -51,7 +51,6 @@ DEFAULTED = [
     "cli.main(argv)",
     "errors.ConfigValidationError.__init__(report)",
     "errors.NumericalFailure.__init__(iteration)",
-    "errors.integer(low)",
     "errors.real(high)",
     "errors.real(low)",
     "jacobians.dirl1_jacobian(eps_decay)",
@@ -60,7 +59,6 @@ DEFAULTED = [
     "jacobians.finite_difference_jacobian(h)",
     "problems.SmoothTerm.__init__(c)",
     "regularizers.CustomRegularizer.__init__(second_derivative_at_zero)",
-    "selfcheck._result(detail)",
     "selfcheck.check_concavity(regularizers)",
     "selfcheck.check_derivative_consistency(regularizers)",
     "solvers.run(record_every)",
