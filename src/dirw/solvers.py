@@ -19,7 +19,6 @@ iteration whenever beta > alpha * L / 2 (L the gradient Lipschitz constant
 of the smooth term); this is asserted at every step.
 """
 
-import csv
 import json
 import math
 from collections import deque
@@ -442,11 +441,11 @@ def run(config, problem, x0, trace_full=False, record_every=1):
 
     Convergence requires ||x_next - x||_inf <= tol_step on ten consecutive
     iterations (so a single incidentally tiny step cannot stop the run)
-    together with ||eps||_inf <= tol_eps. Returns a SolveTrace whose
-    per-iteration records hold scalars only; pass ``trace_full=True`` to
-    also keep every iterate. ``record_every`` thins the records (the first
-    and last iterations are always kept). Each (x, eps) is stored once,
-    uncopied, in one history of TAIL_WINDOW states (all under trace_full).
+    together with ||eps||_inf <= tol_eps. Returns a SolveTrace whose records
+    (the CSV rows) hold scalars and a support string; ``trace_full=True`` also
+    keeps every iterate. ``record_every`` thins the records (the first and
+    last iterations are always kept). Each (x, eps) is stored once, uncopied,
+    in one history of TAIL_WINDOW states (all under trace_full).
 
     Raises ConfigValidationError on hard parameter errors and
     NumericalFailure if monotonic descent or its telescoped lower bound
@@ -555,35 +554,35 @@ def fixed_point_map(config, problem):
 
 
 def trace_to_csv(trace, path):
-    """Write the per-iteration scalar records as CSV."""
+    """Write the per-iteration records as CSV, byte for byte what ``csv.writer``
+    writes: no field needs quoting, since each is an int, a float repr or a
+    ``+``/``-``/``0`` support string, and every row ends in ``\\r\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "F_perturbed", "step_norm", "eps_inf", "support_bits"])
-        for rec in trace.records:
-            writer.writerow(
-                [rec.k, repr(rec.F_perturbed), repr(rec.step_norm),
-                 repr(rec.eps_inf), rec.support_bits]
-            )
+        fh.write("k,F_perturbed,step_norm,eps_inf,support_bits\r\n")
+        fh.writelines(
+            f"{r.k},{r.F_perturbed!r},{r.step_norm!r},{r.eps_inf!r},{r.support_bits}\r\n"
+            for r in trace.records
+        )
 
 
 def _json_floats(v):
-    """``json.dumps(v.tolist())`` for a float vector, formatting each distinct
-    bit pattern once: bits keep -0.0 apart from 0.0, and json.dumps writes
-    NaN and +-inf as NaN and +-Infinity."""
-    bits, inverse = np.unique(np.asarray(v, dtype=float).view(np.int64), return_inverse=True)
-    text = [repr(f) if math.isfinite(f) else json.dumps(f)
-            for f in bits.view(float).tolist()]
-    return "[" + ", ".join([text[i] for i in inverse.tolist()]) + "]"
+    """``json.dumps(v.tolist())`` for a float64 vector. A non-empty vector whose
+    entries all hold one bit pattern (so -0.0 is not 0.0, nor one NaN payload
+    another) formats that value once; any other takes one C-level encode."""
+    bits = v.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return "[" + ", ".join([json.dumps(v[:1].tolist())[1:-1]] * bits.size) + "]"
+    return json.dumps(v.tolist())
 
 
 def trace_states_to_jsonl(trace, path):
     """Write full iterate states as JSON lines; requires a trace_full run.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
-    eps.tolist()})``. A uniform eps costs one float repr per line.
+    eps.tolist()})``. The lines are streamed, never joined into one string.
     """
     if trace.xs is None:
         raise ValueError("trace does not hold full states; rerun with trace_full=True")
     with open(path, "w", encoding="utf-8") as fh:
-        for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)):
-            fh.write(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n')
+        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n'
+                      for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))

@@ -451,18 +451,23 @@ def test_solve_states_jsonl_is_json_dumps_of_the_trace(tmp_path):
                        "b": (A @ [1.0, 0.0, -2.0, 0.0, 0.0]).tolist()},
             "regularizer": {"family": "LPN", "p": 0.5}, "lambda": 0.05}
     problem = write_json(tmp_path / "lsq.json", spec)
-    cfg = write_json(tmp_path / "s.json", {"algorithm": "DIRL2", "max_iter": 300})
     x0 = "[0.0, -0.0, 1.5, -2.0, 1e-300]"
     out = tmp_path / "run"
-    assert main(["solve", "--config", cfg, "--problem", problem, "--x0", x0,
-                 "--out", str(out), "--trace-full"]) in (0, 2)
-    trace = run(SolverConfig("DIRL2", max_iter=300), load_problem(problem),
-                parse_x0(x0, 5, 0), trace_full=True)
-    want = "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
-                   for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))
-    got = (tmp_path / "run.states.jsonl").read_bytes()
-    assert got == want.encode()
-    assert got.startswith(b'{"k": 0, "x": [0.0, -0.0, 1.5, -2.0, 1e-300], "eps": [')
+    # a scalar eps0 keeps every eps row uniform; a tuple that mixes repeated
+    # and distinct values keeps none uniform
+    for fields in ({"algorithm": "DIRL2", "max_iter": 300},
+                   {"algorithm": "DIRL1", "max_iter": 300, "eps0": [1.0, 1.0, 0.5, 1.0, 0.25]}):
+        cfg = write_json(tmp_path / "s.json", fields)
+        assert main(["solve", "--config", cfg, "--problem", problem, "--x0", x0,
+                     "--out", str(out), "--trace-full"]) in (0, 2)
+        trace = run(SolverConfig.from_dict(fields), load_problem(problem),
+                    parse_x0(x0, 5, 0), trace_full=True)
+        want = "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
+                       for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))
+        got = (tmp_path / "run.states.jsonl").read_bytes()
+        assert got == want.encode()
+        assert got.startswith(b'{"k": 0, "x": [0.0, -0.0, 1.5, -2.0, 1e-300], "eps": [')
+        assert len(set(trace.eps_history[-1].tolist())) == (1 if "eps0" not in fields else 3)
 
 
 def test_experiment_config_bounds_num_inits(tmp_path):

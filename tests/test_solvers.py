@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from dirw.solvers import (
     TAIL_WINDOW,
     IterateState,
     SolverConfig,
+    TraceRecord,
     _record,
     dirl1_step,
     dirl1_subproblem,
@@ -523,6 +525,31 @@ def test_trace_csv_round_trip(bench, tmp_path):
     assert set(rows[-1][4]) <= {"+", "-", "0"}
 
 
+def _csv_writer_bytes(records):
+    """The CSV of ``records`` as ``csv.writer`` writes it: the oracle for trace_to_csv."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["k", "F_perturbed", "step_norm", "eps_inf", "support_bits"])
+    for rec in records:
+        writer.writerow([rec.k, repr(rec.F_perturbed), repr(rec.step_norm),
+                         repr(rec.eps_inf), rec.support_bits])
+    return buf.getvalue().encode()
+
+
+def test_trace_csv_is_csv_writer_bytes(bench, tmp_path):
+    trace = run(SolverConfig("DIRL1"), bench, np.array([1.0, 0.5]), record_every=50)
+    assert trace.records[0].step_norm == math.inf and len(trace.records) > 2
+    edge = dataclasses.replace(trace, records=[
+        TraceRecord(0, math.nan, math.inf, -0.0, "+-0"),
+        TraceRecord(1, -math.inf, 5e-324, 1e16, "0+-"),
+        TraceRecord(2, 1e-05, -0.0, math.nan, "--00++"),
+    ])
+    for case in (trace, edge):
+        path = tmp_path / "trace.csv"
+        trace_to_csv(case, path)
+        assert path.read_bytes() == _csv_writer_bytes(case.records)
+
+
 def test_trace_jsonl_export(bench, tmp_path):
     trace = run(SolverConfig("DIRL1", max_iter=10), bench, np.array([1.0, 0.5]),
                 trace_full=True)
@@ -617,13 +644,15 @@ def test_record_eps_inf_is_exact_down_to_underflow(d, iterations, eps_decay):
         assert 0.0 < last < sys.float_info.min
 
 
+#: A quiet NaN whose payload differs from math.nan's.
+OTHER_NAN = float(np.int64(0x7FF8_0000_0000_0ABC).view(np.float64))
+
 #: Signed zeros, subnormals, the float extremes, NaNs of both signs and
 #: another payload, and +-inf.
 STATE_ENTRIES = st.one_of(
     st.sampled_from((
         0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308,
-        sys.float_info.max, math.nan, -math.nan, math.inf, -math.inf,
-        float(np.int64(0x7FF8_0000_0000_0ABC).view(np.float64)),
+        sys.float_info.max, math.nan, -math.nan, math.inf, -math.inf, OTHER_NAN,
     )),
     st.floats(allow_nan=True, allow_infinity=True),
 )
@@ -651,6 +680,8 @@ def _oracle_lines(xs, eps_history):
 @given(states=st.lists(st.tuples(state_vectors(), state_vectors()), min_size=1, max_size=4))
 @example(states=[(np.array([0.0, -0.0, 0.0, 1.5]), np.array([math.nan, math.inf, -math.inf, 2.0])),
                  (np.zeros(0), np.full(3, 5e-324)), (np.array([-0.0]), np.array([1e308]))])
+@example(states=[(np.zeros(0), np.full(3, -0.0)), (np.full(3, 0.0), np.full(3, math.nan)),
+                 (np.full(4, math.inf), np.array([math.nan, OTHER_NAN]))])
 def test_trace_jsonl_lines_are_json_dumps(states):
     trace = types.SimpleNamespace(xs=[x for x, _ in states], eps_history=[e for _, e in states])
     with tempfile.TemporaryDirectory() as tmp:
