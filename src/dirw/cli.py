@@ -32,6 +32,7 @@ from .errors import NonStationaryPointError, NumericalFailure, integer, json_obj
 from .jacobians import estimate_map_lipschitz
 from .problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
 from .solvers import (
+    TAIL_WINDOW,
     SolverConfig,
     run,
     trace_states_to_jsonl,
@@ -217,7 +218,8 @@ def run_escape(exp):
         try:
             trace = run(exp.solver, problem, x0, record_every=1_000_000_000)
         except NumericalFailure as exc:
-            records.append({"init_index": i, "init": x0, "error": str(exc), "basin": "failed"})
+            records.append({"init_index": i, "init": x0, "error": str(exc),
+                            "iteration": exc.iteration, "basin": "failed"})
             continue
         limit = trace.limit_x
         dist = _norms(limit - points)
@@ -322,8 +324,9 @@ def cmd_solve(args):
 
 def _tail_sample_points(trace):
     """Up to five (x, eps) states from the trace tail, stacked as vectors."""
-    picks = np.linspace(0, len(trace.tail) - 1, num=min(5, len(trace.tail))).astype(int)
-    return [np.concatenate([trace.tail[i], trace.tail_eps[i]]) for i in picks.tolist()]
+    tail = trace.states[-TAIL_WINDOW:]
+    picks = np.linspace(0, len(tail) - 1, num=min(5, len(tail))).astype(int)
+    return [np.concatenate(tail[i]) for i in picks.tolist()]
 
 
 def cmd_classify(args):

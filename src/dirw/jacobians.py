@@ -19,7 +19,7 @@ gate, its support, its H and, for DIRL1 (P = I), the spectrum of H.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +51,9 @@ class FixedPointJacobian:
     scalar_eps: float
     spectrum: np.ndarray
     #: Active-block eigenvalues and the SaddleReport of x* that the block is
-    #: built on, set by dirl{1,2}_jacobian; not in to_dict().
-    block_eigenvalues: np.ndarray = field(init=False, default=None, repr=False)
-    saddle: SaddleReport = field(init=False, default=None, repr=False)
+    #: built on, set by dirl{1,2}_jacobian.
+    block_eigenvalues: np.ndarray = None
+    saddle: SaddleReport = None
 
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
@@ -68,18 +68,6 @@ class FixedPointJacobian:
         full[inact, inact] = self.scalar_J
         full[n + r, n + r] = self.scalar_eps
         return full
-
-    def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "active": list(self.active),
-            "block_II": self.block_II.tolist(),
-            "off_IJ": self.off_IJ.tolist(),
-            "off_Ieps": self.off_Ieps.tolist(),
-            "scalar_J": self.scalar_J,
-            "scalar_eps": self.scalar_eps,
-            "spectrum": [{"re": float(v), "im": 0.0} for v in self.spectrum],
-        }
 
 
 def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
@@ -124,7 +112,7 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
             [block_vals, np.full(len(inact), 1.0 - alpha), np.full(n, scalar_eps)]
         )
     )
-    jac = FixedPointJacobian(
+    return FixedPointJacobian(
         algorithm=algorithm,
         dimension=n,
         active=tuple(act),
@@ -135,10 +123,9 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         scalar_J=1.0 - alpha,
         scalar_eps=scalar_eps,
         spectrum=spectrum,
+        block_eigenvalues=block_vals,
+        saddle=saddle,
     )
-    jac.block_eigenvalues = block_vals
-    jac.saddle = saddle
-    return jac
 
 
 def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
@@ -255,9 +242,7 @@ def unstable_fixed_point_check(jac):
 class EquivalenceReport:
     classification: str
     unstable: bool
-    spectrum: np.ndarray
     block_eigenvalues: np.ndarray
-    structural: tuple
     rho: float
     alpha_below_beta_over_rho: bool
     consistent: bool
@@ -270,6 +255,9 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     A strict saddle must be an unstable fixed point; a strict local
     minimum with alpha < beta/rho must have every active-block eigenvalue
     magnitude below 1. Any mismatch is reported, not raised.
+
+    The Jacobian is built damped. The verdict reads only its active block and
+    1 - alpha, since both eps_decay modes' relaxation factors are below 1.
     """
     jacobian = dirl1_jacobian if algorithm == "DIRL1" else dirl2_jacobian
     jac = jacobian(prob, x_star, alpha, beta, mu)
@@ -289,9 +277,7 @@ def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
     return EquivalenceReport(
         classification=report.classification,
         unstable=unstable,
-        spectrum=jac.spectrum,
         block_eigenvalues=jac.block_eigenvalues,
-        structural=(jac.scalar_J, jac.scalar_eps),
         rho=rho,
         alpha_below_beta_over_rho=alpha_ok,
         consistent=consistent,

@@ -207,24 +207,22 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """What ``run`` returns. ``tail``/``tail_eps`` hold x and eps of the last
-    TAIL_WINDOW states, ``xs``/``eps_history`` every state under ``trace_full``
-    (else None); all share the steps' arrays, each stored once, uncopied."""
+    """What ``run`` returns. ``states`` holds the (x, eps) pair of each kept
+    state, uncopied: every state from k = 0 under ``trace_full``, else the
+    last TAIL_WINDOW states. ``final_x`` is the last state's x."""
 
-    algorithm: str
+    config: SolverConfig
     records: list
     converged: bool
     iterations: int
-    final_x: np.ndarray
-    final_eps: np.ndarray
     limit_x: np.ndarray
     final_residual: float
     diagnostics: dict
-    tail: list
-    tail_eps: list
-    xs: list = None
-    eps_history: list = None
-    config: SolverConfig = None
+    states: list
+
+    @property
+    def final_x(self):
+        return self.states[-1][0]
 
 
 def _model(algorithm, problem, x, eps, beta):
@@ -445,7 +443,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     (the CSV rows) hold scalars and a support string; ``trace_full=True`` also
     keeps every iterate. ``record_every`` thins the records (the first and
     last iterations are always kept). Each (x, eps) is stored once, uncopied,
-    in one history of TAIL_WINDOW states (all under trace_full).
+    in ``states``: the last TAIL_WINDOW (all under trace_full).
 
     Raises ConfigValidationError on hard parameter errors and
     NumericalFailure if monotonic descent or its telescoped lower bound
@@ -489,29 +487,23 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         drop = F0 - state.F_perturbed
         if drop < lower - 1e-8 * state.k:
             raise NumericalFailure(
-                f"telescoped descent bound violated: drop={drop!r} < {lower!r}",
+                f"telescoped descent bound violated at iteration {state.k}: "
+                f"drop={drop!r} < {lower!r}",
                 iteration=state.k,
             )
 
-    xs, eps_history = map(list, zip(*history))
-    tail = xs[-TAIL_WINDOW:]
-    limit_x = analysis.extrapolate_limit(tail)
+    states = list(history)
+    limit_x = analysis.extrapolate_limit([x for x, _ in states[-TAIL_WINDOW:]])
     residual = analysis.stationarity_residual(problem, limit_x).residual_active
     return SolveTrace(
-        algorithm=config.algorithm,
+        config=config,
         records=records,
         converged=converged,
         iterations=state.k,
-        final_x=state.x,
-        final_eps=state.eps,
         limit_x=limit_x,
         final_residual=residual,
         diagnostics=_post_run_diagnostics(config, problem, L, C),
-        tail=tail,
-        tail_eps=eps_history[-TAIL_WINDOW:],
-        xs=xs if trace_full else None,
-        eps_history=eps_history if trace_full else None,
-        config=config,
+        states=states,
     )
 
 
@@ -576,13 +568,14 @@ def _json_floats(v):
 
 
 def trace_states_to_jsonl(trace, path):
-    """Write full iterate states as JSON lines; requires a trace_full run.
+    """Write the trace's states as JSON lines, k = 0..iterations; a trace whose
+    states do not start at k = 0 (a bare run past TAIL_WINDOW) is refused.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
     eps.tolist()})``. The lines are streamed, never joined into one string.
     """
-    if trace.xs is None:
-        raise ValueError("trace does not hold full states; rerun with trace_full=True")
+    if len(trace.states) != trace.iterations + 1:
+        raise ValueError("trace does not start at k = 0; rerun with trace_full=True")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n'
-                      for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))
+                      for k, (x, eps) in enumerate(trace.states))

@@ -140,7 +140,7 @@ def test_criterion_03_descent_inequality(sample_traces, capsys):
         for trace in sample_traces[algorithm]:
             F = np.array([rec.F_perturbed for rec in trace.records])
             assert np.all(np.diff(F) <= 1e-10 * np.maximum(1.0, np.abs(F[:-1])))
-            xs = np.asarray(trace.xs)
+            xs = np.asarray([x for x, _ in trace.states])
             sum_sq = float(np.sum((xs[1:] - xs[:-1]) ** 2))
             bound = (BETA / ALPHA - 1.0) * sum_sq  # L = 2 for the benchmark
             drop = F[0] - F[-1]

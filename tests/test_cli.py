@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dirw import solvers
 from dirw.cli import (
     CLUSTER_RADIUS,
     MAX_NUM_INITS,
@@ -16,7 +17,7 @@ from dirw.cli import (
     run_escape,
 )
 from dirw.problems import BENCHMARK2D_STATIONARY, benchmark2d, load_problem
-from dirw.solvers import TAIL_WINDOW, SolverConfig, run
+from dirw.solvers import TAIL_WINDOW, SolverConfig, ValidationReport, run
 
 
 def write_json(path, data):
@@ -405,6 +406,53 @@ def test_escape_counts_non_finite_start_as_failed(tmp_path):
         summary = run_escape(exp)
     assert summary["basins"]["failed"] == 2
     assert all("not finite" in rec["error"] for rec in summary["records"])
+    assert [rec["iteration"] for rec in summary["records"]] == [0, 0]
+
+
+def _failed_iterations(summary):
+    """Each failed record's iteration, checked against the one its message names."""
+    out = []
+    for rec in summary["records"]:
+        assert rec["basin"] == "failed"
+        assert rec["error"].split(" at iteration ")[1].startswith(f"{rec['iteration']}:")
+        out.append(rec["iteration"])
+    return out
+
+
+def test_escape_failed_start_keeps_its_iteration(tmp_path):
+    # f = -x1^2/2 + x2^2: the x1 = 1e154 start is finite, and F(x, eps) runs to
+    # -inf after a few steps along the unbounded direction
+    spec = {"smooth": {"kind": "quadratic", "A": [[-1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0]},
+            "regularizer": {"family": "LOG", "p": 1.0}, "lambda": 1.0}
+    exp = ExperimentConfig.from_dict({
+        "problem": write_json(tmp_path / "unbounded.json", spec),
+        "solver": {"algorithm": "DIRL1"},
+        "num_inits": 1,
+        "init_box": [[1e154, 0], [1.2e154, 1]],
+        "seed": 0,
+    })
+    with np.errstate(over="ignore"):
+        summary = run_escape(exp)
+    assert _failed_iterations(summary) == [11]
+    assert "not finite" in summary["records"][0]["error"]
+
+
+def test_escape_telescope_failure_keeps_its_iteration(monkeypatch):
+    # an understated L raises the telescoped bound above the drop the run achieves
+    monkeypatch.setattr(solvers, "validate_config",
+                        lambda config, problem: ValidationReport(lipschitz_gradient=-50.0))
+    exp = ExperimentConfig.from_dict({
+        "problem": "benchmark2d",
+        "solver": {"algorithm": "DIRL1"},
+        "num_inits": 2,
+        "init_box": [[-3, -3], [3, 3]],
+        "seed": 0,
+    })
+    summary = run_escape(exp)
+    assert summary["basins"]["failed"] == 2
+    assert all(k > 0 for k in _failed_iterations(summary))
+    assert all(rec["error"].startswith("telescoped descent bound violated at iteration ")
+               for rec in summary["records"])
 
 
 def test_run_escape_records_structure(tmp_path):
@@ -463,11 +511,11 @@ def test_solve_states_jsonl_is_json_dumps_of_the_trace(tmp_path):
         trace = run(SolverConfig.from_dict(fields), load_problem(problem),
                     parse_x0(x0, 5, 0), trace_full=True)
         want = "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
-                       for k, (x, eps) in enumerate(zip(trace.xs, trace.eps_history)))
+                       for k, (x, eps) in enumerate(trace.states))
         got = (tmp_path / "run.states.jsonl").read_bytes()
         assert got == want.encode()
         assert got.startswith(b'{"k": 0, "x": [0.0, -0.0, 1.5, -2.0, 1e-300], "eps": [')
-        assert len(set(trace.eps_history[-1].tolist())) == (1 if "eps0" not in fields else 3)
+        assert len(set(trace.states[-1][1].tolist())) == (1 if "eps0" not in fields else 3)
 
 
 def test_experiment_config_bounds_num_inits(tmp_path):
@@ -483,6 +531,6 @@ def test_tail_sample_points_are_iterates(bench):
     trace = run(SolverConfig("DIRL2"), bench, np.array([3.0, 3.0]), trace_full=True)
     assert trace.converged and trace.iterations >= TAIL_WINDOW
     first = trace.iterations - (TAIL_WINDOW - 1)
-    want = [np.concatenate([trace.xs[k], trace.eps_history[k]])
+    want = [np.concatenate(trace.states[k])
             for k in (first, first + 15, first + 31, first + 47, first + 63)]
     assert [v.tobytes() for v in _tail_sample_points(trace)] == [v.tobytes() for v in want]

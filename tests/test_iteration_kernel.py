@@ -113,10 +113,8 @@ def fingerprint(config, problem, x0):
     return {
         "records": [(r.k, r.F_perturbed.hex(), r.step_norm.hex(), r.eps_inf.hex(),
                      r.support_bits) for r in trace.records],
-        "final_x": trace.final_x.tobytes(),
-        "final_eps": trace.final_eps.tobytes(),
+        "states": [(x.tobytes(), eps.tobytes()) for x, eps in trace.states],
         "limit_x": trace.limit_x.tobytes(),
-        "tail": [x.tobytes() for x in trace.tail],
         "iterations": trace.iterations,
         "converged": trace.converged,
         "final_residual": trace.final_residual.hex(),
@@ -239,7 +237,8 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
     monkeypatch.setattr(solvers, "_step", flat_step)
     with pytest.raises(NumericalFailure) as err:
         run(config, problem, np.array([3.0, 3.0]))
-    assert str(err.value) == f"telescoped descent bound violated: drop={0.0!r} < {lower!r}"
+    assert str(err.value) == (f"telescoped descent bound violated at iteration 5: "
+                              f"drop={0.0!r} < {lower!r}")
     assert err.value.iteration == 5
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -326,19 +325,6 @@ def test_dirl2_boundary_partials_vanish(bench):
     assert partials[2] < 1e-2
 
 
-def test_jacobian_serialization(bench):
-    jac = dirl1_jacobian(bench, [0.0, 1.0], ALPHA, BETA, MU)
-    d = jac.to_dict()
-    assert d["algorithm"] == "DIRL1"
-    assert d["active"] == [1]
-    assert d["block_II"] == [[0.9125]]
-    assert all(pair["im"] == 0.0 for pair in d["spectrum"])
-    res = [pair["re"] for pair in d["spectrum"]]
-    assert res == sorted(res)
-    json_text = json.dumps(d)
-    assert json.loads(json_text) == d
-
-
 def _fd_map_lipschitz(config, problem, points):
     """The central-difference estimate of L_S that the analytic one replaced."""
     S = solution_map(config, problem)
@@ -460,5 +446,10 @@ def test_jacobian_is_built_on_one_classification(bench, saddle_x2, jacobian):
         assert eq.rho == hessian_norm(direct)
         assert eq.block_eigenvalues.tobytes() == jac.block_eigenvalues.tobytes()
         assert eq.consistent
+        # the verdict, built damped, holds for the geometric-decay Jacobian too
+        geometric = jacobian(prob, x_star, ALPHA, BETA, MU, eps_decay="geometric")
+        assert geometric.scalar_eps == MU != jac.scalar_eps
+        assert eq.unstable == unstable_fixed_point_check(geometric)
+        assert geometric.block_eigenvalues.tobytes() == eq.block_eigenvalues.tobytes()
         labels.add(direct.classification)
     assert labels == {CLASS_STRICT_LOCAL_MIN, CLASS_STRICT_SADDLE}

@@ -342,7 +342,7 @@ def test_run_converges_on_benchmark(bench, algorithm):
 def test_run_telescoped_descent(bench, algorithm):
     config = SolverConfig(algorithm)
     trace = run(config, bench, np.array([3.0, 3.0]), trace_full=True)
-    xs = np.asarray(trace.xs)
+    xs = np.asarray([x for x, _ in trace.states])
     sum_sq = float(np.sum((xs[1:] - xs[:-1]) ** 2))
     drop = trace.records[0].F_perturbed - trace.records[-1].F_perturbed
     bound = (config.beta / config.alpha - 1.0) * sum_sq  # L = 2
@@ -559,9 +559,20 @@ def test_trace_jsonl_export(bench, tmp_path):
     assert len(lines) == trace.iterations + 1
     first = json.loads(lines[0])
     assert first["k"] == 0 and first["x"] == [1.0, 0.5]
-    bare = run(SolverConfig("DIRL1", max_iter=5), bench, np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
+    # a bare run keeps only the last TAIL_WINDOW states, so they start at
+    # k = 0 only when it takes fewer than TAIL_WINDOW iterations
+    bare = run(SolverConfig("DIRL1", max_iter=TAIL_WINDOW), bench, np.array([1.0, 0.5]))
+    assert bare.iterations == TAIL_WINDOW and len(bare.states) == TAIL_WINDOW
+    with pytest.raises(ValueError, match="does not start at k = 0"):
         trace_states_to_jsonl(bare, path)
+    short = tmp_path / "short.jsonl"
+    trace_states_to_jsonl(run(SolverConfig("DIRL1", max_iter=TAIL_WINDOW - 1), bench,
+                              np.array([1.0, 0.5])), short)
+    twin = tmp_path / "twin.jsonl"
+    trace_states_to_jsonl(run(SolverConfig("DIRL1", max_iter=TAIL_WINDOW - 1), bench,
+                              np.array([1.0, 0.5]), trace_full=True), twin)
+    assert short.read_bytes() == twin.read_bytes()
+    assert len(short.read_text().splitlines()) == TAIL_WINDOW
 
 
 def test_record_thinning(bench):
@@ -592,23 +603,22 @@ def test_record_bits_are_the_support_fingerprint(y):
 
 def test_tail_keeps_the_last_iterates_as_a_list(bench):
     for max_iter in (3, 200):
-        trace = run(SolverConfig("DIRL1", max_iter=max_iter), bench, np.array([3.0, 3.0]),
-                    trace_full=True)
-        assert type(trace.tail) is list
-        assert len(trace.tail) == min(trace.iterations + 1, TAIL_WINDOW)
-        for got, want in zip(trace.tail, trace.xs[-TAIL_WINDOW:]):
-            assert got.tobytes() == want.tobytes()
-        assert type(trace.tail_eps) is list and len(trace.tail_eps) == len(trace.tail)
-        for got, want in zip(trace.tail_eps, trace.eps_history[-TAIL_WINDOW:]):
-            assert got.tobytes() == want.tobytes()
-        # each state is kept once: the trace shares the last step's arrays
-        assert trace.tail[-1] is trace.final_x and trace.tail_eps[-1] is trace.final_eps
+        config = SolverConfig("DIRL1", max_iter=max_iter)
+        full = run(config, bench, np.array([3.0, 3.0]), trace_full=True)
+        bare = run(config, bench, np.array([3.0, 3.0]))
+        assert type(full.states) is list and type(bare.states) is list
+        assert len(full.states) == full.iterations + 1
+        assert len(bare.states) == min(bare.iterations + 1, TAIL_WINDOW)
+        for (x, eps), (x_full, eps_full) in zip(bare.states, full.states[-TAIL_WINDOW:]):
+            assert x.tobytes() == x_full.tobytes() and eps.tobytes() == eps_full.tobytes()
+        # each state is kept once: final_x is the last state's array, uncopied
+        assert full.final_x is full.states[-1][0] and bare.final_x is bare.states[-1][0]
 
 
 def _eps_inf_bits(trace):
     """Each record's eps_inf, and the max of the eps it records, as hex lists."""
     return ([r.eps_inf.hex() for r in trace.records],
-            [float(trace.eps_history[r.k].max()).hex() for r in trace.records])
+            [float(trace.states[r.k][1].max()).hex() for r in trace.records])
 
 
 @pytest.mark.parametrize("eps0", [1.0, [1.0, 0.3]])
@@ -635,8 +645,7 @@ def test_record_eps_inf_is_exact_down_to_underflow(d, iterations, eps_decay):
     got, want = _eps_inf_bits(trace)
     assert got == want
     # every kept state passed the objective's check, so --trace-full writes no Infinity
-    assert all(np.isfinite(x).all() for x in trace.xs)
-    assert all(np.isfinite(eps).all() for eps in trace.eps_history)
+    assert all(np.isfinite(x).all() and np.isfinite(eps).all() for x, eps in trace.states)
     last = trace.records[-1].eps_inf
     if eps_decay == "geometric":
         assert last == 0.0
@@ -671,9 +680,9 @@ def state_vectors(draw):
     return v[::-1] if layout == "reversed" else v
 
 
-def _oracle_lines(xs, eps_history):
+def _oracle_lines(states):
     return "".join(json.dumps({"k": k, "x": x.tolist(), "eps": eps.tolist()}) + "\n"
-                   for k, (x, eps) in enumerate(zip(xs, eps_history))).encode()
+                   for k, (x, eps) in enumerate(states)).encode()
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -683,9 +692,9 @@ def _oracle_lines(xs, eps_history):
 @example(states=[(np.zeros(0), np.full(3, -0.0)), (np.full(3, 0.0), np.full(3, math.nan)),
                  (np.full(4, math.inf), np.array([math.nan, OTHER_NAN]))])
 def test_trace_jsonl_lines_are_json_dumps(states):
-    trace = types.SimpleNamespace(xs=[x for x, _ in states], eps_history=[e for _, e in states])
+    trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "states.jsonl")
         trace_states_to_jsonl(trace, path)
         with open(path, "rb") as fh:
-            assert fh.read() == _oracle_lines(trace.xs, trace.eps_history)
+            assert fh.read() == _oracle_lines(states)

@@ -1,7 +1,9 @@
-"""The public names and the defaulted parameters of ``dirw`` are pinned.
+"""The public names, the defaulted parameters and the dataclass fields of
+``dirw`` are pinned.
 
-A new export or a new parameter default has to be added to the lists
-below on purpose, so a knob that nothing sets cannot slip in unnoticed.
+A new export, parameter default or field has to be added to the lists
+below on purpose, so a knob that nothing sets, or a result field that
+copies another, cannot slip in unnoticed.
 """
 
 import ast
@@ -65,6 +67,98 @@ DEFAULTED = [
     "solvers.run(trace_full)",
 ]
 
+#: Every dataclass field in src/dirw, as module.Class.field.
+FIELDS = [
+    "analysis.SaddleReport.classification",
+    "analysis.SaddleReport.eigenvalues",
+    "analysis.SaddleReport.lambda_max",
+    "analysis.SaddleReport.lambda_min",
+    "analysis.SaddleReport.negative_definite",
+    "analysis.SaddleReport.pattern",
+    "analysis.SaddleReport.restricted",
+    "analysis.StationarityReport.is_stationary",
+    "analysis.StationarityReport.margin_inactive",
+    "analysis.StationarityReport.pattern",
+    "analysis.StationarityReport.residual_active",
+    "analysis.SupportPattern.active",
+    "analysis.SupportPattern.inactive",
+    "analysis.SupportPattern.signs",
+    "cli.ExperimentConfig.init_box",
+    "cli.ExperimentConfig.num_inits",
+    "cli.ExperimentConfig.perturbation",
+    "cli.ExperimentConfig.perturbation_scale",
+    "cli.ExperimentConfig.problem",
+    "cli.ExperimentConfig.saddle_radius",
+    "cli.ExperimentConfig.seed",
+    "cli.ExperimentConfig.solver",
+    "jacobians.EquivalenceReport.alpha_below_beta_over_rho",
+    "jacobians.EquivalenceReport.block_eigenvalues",
+    "jacobians.EquivalenceReport.classification",
+    "jacobians.EquivalenceReport.consistent",
+    "jacobians.EquivalenceReport.detail",
+    "jacobians.EquivalenceReport.rho",
+    "jacobians.EquivalenceReport.unstable",
+    "jacobians.FixedPointJacobian.active",
+    "jacobians.FixedPointJacobian.algorithm",
+    "jacobians.FixedPointJacobian.block_II",
+    "jacobians.FixedPointJacobian.block_eigenvalues",
+    "jacobians.FixedPointJacobian.dimension",
+    "jacobians.FixedPointJacobian.inactive",
+    "jacobians.FixedPointJacobian.off_IJ",
+    "jacobians.FixedPointJacobian.off_Ieps",
+    "jacobians.FixedPointJacobian.saddle",
+    "jacobians.FixedPointJacobian.scalar_J",
+    "jacobians.FixedPointJacobian.scalar_eps",
+    "jacobians.FixedPointJacobian.spectrum",
+    "regularizers.Assumption1Report.derivative_at_zero_positive",
+    "regularizers.Assumption1Report.derivative_nonincreasing",
+    "regularizers.Assumption1Report.derivative_nonnegative",
+    "regularizers.Assumption1Report.second_derivative_nonpositive",
+    "regularizers.Assumption1Report.value_at_zero_ok",
+    "regularizers.Assumption4Report.derivative_values",
+    "regularizers.Assumption4Report.points",
+    "regularizers.Assumption4Report.ratio_values",
+    "regularizers.Assumption4Report.ratio_vanishes",
+    "regularizers.Assumption4Report.weight_diverges",
+    "selfcheck.CheckResult.detail",
+    "selfcheck.CheckResult.name",
+    "selfcheck.CheckResult.passed",
+    "solvers.IterateState.F_perturbed",
+    "solvers.IterateState.eps",
+    "solvers.IterateState.k",
+    "solvers.IterateState.prox_center_inf",
+    "solvers.IterateState.step",
+    "solvers.IterateState.step_norm",
+    "solvers.IterateState.x",
+    "solvers.IterateState.y",
+    "solvers.SolveTrace.config",
+    "solvers.SolveTrace.converged",
+    "solvers.SolveTrace.diagnostics",
+    "solvers.SolveTrace.final_residual",
+    "solvers.SolveTrace.iterations",
+    "solvers.SolveTrace.limit_x",
+    "solvers.SolveTrace.records",
+    "solvers.SolveTrace.states",
+    "solvers.SolverConfig.algorithm",
+    "solvers.SolverConfig.alpha",
+    "solvers.SolverConfig.beta",
+    "solvers.SolverConfig.eps0",
+    "solvers.SolverConfig.eps_decay",
+    "solvers.SolverConfig.max_iter",
+    "solvers.SolverConfig.mu",
+    "solvers.SolverConfig.tol_eps",
+    "solvers.SolverConfig.tol_step",
+    "solvers.TraceRecord.F_perturbed",
+    "solvers.TraceRecord.eps_inf",
+    "solvers.TraceRecord.k",
+    "solvers.TraceRecord.step_norm",
+    "solvers.TraceRecord.support_bits",
+    "solvers.ValidationReport.hard_errors",
+    "solvers.ValidationReport.lipeomorphism_lhs",
+    "solvers.ValidationReport.lipschitz_gradient",
+    "solvers.ValidationReport.warnings",
+]
+
 SOURCE = pathlib.Path(dirw.__file__).parent
 
 
@@ -85,6 +179,22 @@ def _defaulted(node, prefix):
             yield from _defaulted(child, prefix)
 
 
+def _fields(tree, module):
+    """module.Class.field for each annotated field of each dataclass in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+        ):
+            yield from (f"{module}.{node.name}.{stmt.target.id}"
+                        for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+
+
+def _found(walk):
+    """Sorted names that ``walk(tree, module)`` yields over every module of dirw."""
+    return sorted(name for path in SOURCE.glob("*.py")
+                  for name in walk(ast.parse(path.read_text()), path.stem))
+
+
 def test_public_names_are_pinned_and_resolve():
     assert sorted(dirw.__all__) == PUBLIC
     for name in dirw.__all__:
@@ -92,9 +202,8 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_defaulted_parameters_are_pinned():
-    found = sorted(
-        name
-        for path in SOURCE.glob("*.py")
-        for name in _defaulted(ast.parse(path.read_text()), f"{path.stem}.")
-    )
-    assert found == DEFAULTED
+    assert _found(lambda tree, module: _defaulted(tree, f"{module}.")) == DEFAULTED
+
+
+def test_dataclass_fields_are_pinned():
+    assert _found(_fields) == FIELDS
