@@ -28,7 +28,12 @@ def _frozen(a):
 
 
 def _l1_radius(x, eps):
+    """t = |x| + eps, the radius at which DIRL1 takes r and r'."""
     return np.abs(x) + eps
+
+
+#: z = hypot(x, eps), the radius at which DIRL2 takes r and r'.
+_l2_radius = np.hypot
 
 
 @np.errstate(all="ignore")
@@ -41,14 +46,13 @@ def _quietly(radius, x, eps):
 class SmoothTerm:
     """Dense smooth term with closed-form gradient and (constant) Hessian.
 
-    ``value`` and ``gradient`` share the one dense product A x (A x - b for
-    least squares) through a one-entry memo keyed on x's dtype, shape and
-    bytes: the solver asks for the objective at each new iterate and then
-    for the gradient at the same point. The memoized array never leaves
-    the term, and an x changed in place reads as a new key.
+    ``value`` and ``gradient`` each form the one dense product A x (A x - b
+    for least squares). The solver forms it once per iterate, in the
+    objective, and takes the next step's gradient from it through
+    ``_gradient_at``.
     """
 
-    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_memo")
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -68,12 +72,11 @@ class SmoothTerm:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_lipschitz", None)
-        object.__setattr__(self, "_memo", (None, None))
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
 
-    def __reduce__(self):  # rebuilt and re-validated; the memos start empty
+    def __reduce__(self):  # rebuilt and re-validated; the caches start empty
         return SmoothTerm, (self.kind, self.A, self.b, self.c)
 
     @property
@@ -81,29 +84,26 @@ class SmoothTerm:
         return self.A.shape[1]
 
     def _product(self, x):
-        """A x for a quadratic term, A x - b for least squares, memoized."""
-        x = np.asarray(x)
-        # The bytes of an object array are pointers, which do not pin its values.
-        key = None if x.dtype.hasobject else (x.dtype, x.shape, x.tobytes())
-        memo_key, memo_out = self._memo
-        if key is not None and key == memo_key:
-            return memo_out
-        out = self.A @ x if self.kind == "quadratic" else self.A @ x - self.b
-        # One tuple, swapped whole: a thread sharing the term can lose the
-        # reuse but never read a key with another key's product.
-        object.__setattr__(self, "_memo", (key, out))
-        return out
+        """A x for a quadratic term, A x - b for least squares."""
+        return self.A @ x if self.kind == "quadratic" else self.A @ x - self.b
 
     def value(self, x):
+        return self._value_at(x, self._product(x))
+
+    def _value_at(self, x, product):
+        """f(x), given ``product = self._product(x)``."""
         if self.kind == "quadratic":
-            return float(0.5 * x @ self._product(x) + self.b @ x + self.c)
-        res = self._product(x)
-        return float(0.5 * res @ res) + self.c
+            return float(0.5 * x @ product + self.b @ x + self.c)
+        return float(0.5 * product @ product) + self.c
 
     def gradient(self, x):
+        return self._gradient_at(self._product(x))
+
+    def _gradient_at(self, product):
+        """The gradient at the x whose ``self._product(x)`` is ``product``."""
         if self.kind == "quadratic":
-            return self._product(x) + self.b
-        return self.A.T @ self._product(x)
+            return product + self.b
+        return self.A.T @ product
 
     def hessian(self):
         """The constant Hessian, read-only: A, or A'A formed on first use."""
@@ -183,21 +183,21 @@ class Problem:
         x = self.check_vector(x)
         return self.smooth.value(x) + self.penalty_value(np.abs(x))
 
-    def perturbed_value_l1(self, x, eps):
+    def perturbed_value_l1(self, x, eps, *, _parts=None):
         """f(x) + lambda * sum_i r(|x_i| + eps_i); equals F(x) at eps = 0.
 
         One predicate checks x, eps and r's domain; see ``_perturbed_value``.
         """
-        return self._perturbed_value(x, eps, _l1_radius)
+        return self._perturbed_value(x, eps, _l1_radius, _parts)
 
-    def perturbed_value_l2(self, x, eps):
+    def perturbed_value_l2(self, x, eps, *, _parts=None):
         """f(x) + lambda * sum_i r(sqrt(x_i^2 + eps_i^2)).
 
         One predicate checks x, eps and r's domain; see ``_perturbed_value``.
         """
-        return self._perturbed_value(x, eps, np.hypot)
+        return self._perturbed_value(x, eps, _l2_radius, _parts)
 
-    def _perturbed_value(self, x, eps, radius):
+    def _perturbed_value(self, x, eps, radius, parts):
         """f(x) + lambda * sum_i r(t_i) with t = radius(x, eps).
 
         For a float x of the problem's dimension and a float array eps of
@@ -207,6 +207,10 @@ class Problem:
         else goes through ``check_vector``, ``_check_eps`` and
         ``penalty_value`` in turn, which raise the errors and warnings that
         name the array at fault.
+
+        ``parts``, a list passed by the solver, receives the checked t and
+        ``smooth._product(x)`` when the predicate accepted them, so the next
+        step neither forms nor checks either again. It stays empty otherwise.
         """
         x = np.asarray(x, dtype=float)
         if (x.shape == (self.dimension,) and type(eps) is np.ndarray
@@ -214,7 +218,10 @@ class Problem:
             t = _quietly(radius, x, eps)
             if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
                 r = self.reg._value_in_domain(t)
-                return self.smooth.value(x) + self.lam * float(np.add.reduce(r))
+                product = self.smooth._product(x)
+                if parts is not None:
+                    parts += (t, product)
+                return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))
         x = self.check_vector(x)
         eps = self._check_eps(x, eps)
         return self.smooth.value(x) + self.penalty_value(radius(x, eps))

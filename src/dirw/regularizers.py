@@ -108,6 +108,10 @@ class _Penalty:
         t, scalar = _prepare(t, positive=True)
         return _ret(self._row.derivative(t, self.p), scalar)
 
+    def _derivative_in_domain(self, t):
+        """r'(t) for a float array t that the caller has checked lies in (0, inf)."""
+        return self._row.derivative(t, self.p)
+
     def second_derivative(self, t):
         """r''(t) for t > 0; nonpositive on (0, inf) by concavity."""
         t, scalar = _prepare(t, positive=True)

@@ -21,14 +21,16 @@ of the smooth term); this is asserted at every step.
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from . import analysis
+from . import analysis, problems
 from .errors import ConfigValidationError, NumericalFailure, integer, json_object, real, real_array
-from .regularizers import derivative_inverse
+from .regularizers import CustomRegularizer, check_assumption1, derivative_inverse
 
 ALGORITHMS = ("DIRL1", "DIRL2")
 EPS_DECAY_MODES = ("damped", "geometric")
@@ -52,22 +54,30 @@ def soft_threshold(z, w):
     return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
 
 
-def dirl1_weights(x, eps, reg):
+def dirl1_weights(x, eps, reg, *, _radius=None):
     """w_i = r'(|x_i| + eps_i), with the t -> 0+ limit at |x_i| + eps_i = 0.
 
     The limit is inf for non-Lipschitz regularizers; that only occurs on
     the eps = 0 analysis path since the solver keeps eps > 0. NaN is refused.
+
+    The solver passes ``_radius``: t = |x| + eps as the objective formed and
+    checked it (t >= 0 and finite) when it accepted x and eps. Only t > 0,
+    which r' needs, is then tested; a t_i of 0 takes the masked path.
     """
-    t = np.abs(np.asarray(x, dtype=float)) + np.asarray(eps, dtype=float)
-    if t.ndim:
-        try:  # the solver's case: eps > 0 keeps every t_i > 0, which r' checks
-            return reg.derivative(t)
-        except ValueError:  # a t_i of 0 (or not finite) takes the masked path
-            pass
-    if (t < 0.0).any():
-        raise ValueError("|x_i| + eps_i must be nonnegative")
-    if np.isnan(t).any():  # the mask below would give it r'(0+)
-        raise ValueError("x and eps must not hold NaN")
+    t = _radius
+    if t is None:
+        t = problems._l1_radius(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+        if t.ndim:
+            try:  # eps > 0 keeps every t_i > 0, which r' checks
+                return reg.derivative(t)
+            except ValueError:  # a t_i of 0 (or not finite) takes the masked path
+                pass
+        if (t < 0.0).any():
+            raise ValueError("|x_i| + eps_i must be nonnegative")
+        if np.isnan(t).any():  # the mask below would give it r'(0+)
+            raise ValueError("x and eps must not hold NaN")
+    elif np.count_nonzero(t) == t.size:
+        return reg._derivative_in_domain(t)
     pos = t > 0.0
     w = np.full(t.shape, reg.derivative_at_zero_plus())
     if pos.any():
@@ -81,16 +91,24 @@ def dirl1_subproblem(center, w, beta, lam):
     return soft_threshold(center, lam * np.asarray(w, dtype=float) / beta)
 
 
-def dirl2_weights(x, eps, reg):
-    """u_i = r'(z_i) / (2 z_i) with z_i = sqrt(x_i^2 + eps_i^2); inf at z_i = 0; NaN refused."""
-    z = np.hypot(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
-    if z.ndim:
-        try:  # the solver's case: eps > 0 keeps every z_i > 0, which r' checks
-            return _over_twice(reg.derivative(z), z)
-        except ValueError:  # a z_i of 0 (or not finite) takes the masked path
-            pass
-    if np.isnan(z).any():  # the mask below would give it inf
-        raise ValueError("x and eps must not hold NaN")
+def dirl2_weights(x, eps, reg, *, _radius=None):
+    """u_i = r'(z_i) / (2 z_i) with z_i = sqrt(x_i^2 + eps_i^2); inf at z_i = 0; NaN refused.
+
+    ``_radius`` is z as the objective formed and checked it; see
+    ``dirl1_weights``.
+    """
+    z = _radius
+    if z is None:
+        z = problems._l2_radius(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
+        if z.ndim:
+            try:  # eps > 0 keeps every z_i > 0, which r' checks
+                return _over_twice(reg.derivative(z), z)
+            except ValueError:  # a z_i of 0 (or not finite) takes the masked path
+                pass
+        if np.isnan(z).any():  # the mask below would give it inf
+            raise ValueError("x and eps must not hold NaN")
+    elif np.count_nonzero(z) == z.size:
+        return _over_twice(reg._derivative_in_domain(z), z)
     pos = z > 0.0
     u = np.full(z.shape, math.inf)
     if pos.any():
@@ -159,8 +177,9 @@ class SolverConfig:
         for name, value in read.items():
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def eps_factor(self):
+        """The per-step relaxation factor, computed on first read."""
         return eps_factor(self.alpha, self.mu, self.eps_decay)
 
     def initial_eps(self, n):
@@ -183,8 +202,10 @@ class SolverConfig:
             raise ValueError(f"solver config: {exc}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class IterateState:
+    """One iterate, with what the objective call that accepted it formed."""
+
     k: int
     x: np.ndarray
     eps: np.ndarray
@@ -194,6 +215,16 @@ class IterateState:
     prox_center_inf: float = math.nan
     #: x - x_prev, the step that produced this state (None for a start).
     step: np.ndarray = None
+    #: The radius that the objective formed and checked at (x, eps):
+    #: |x| + eps (DIRL1) or hypot(x, eps) (DIRL2). None in a state built by
+    #: hand, whose step then forms and checks it in the weights.
+    radius: np.ndarray = None
+    #: A x (A x - b for least squares), formed by the same objective call;
+    #: None in a state built by hand, whose step then forms the gradient from x.
+    product: np.ndarray = None
+    #: The algorithm whose objective formed ``radius``; a step of the other
+    #: algorithm forms its own.
+    algorithm: str = None
 
 
 @dataclass(frozen=True)
@@ -214,36 +245,19 @@ class SolveTrace:
     config: SolverConfig
     records: list
     converged: bool
-    iterations: int
     limit_x: np.ndarray
     final_residual: float
     diagnostics: dict
     states: list
 
     @property
+    def iterations(self):
+        """The iterations run: ``run`` always records the last one."""
+        return self.records[-1].k
+
+    @property
     def final_x(self):
         return self.states[-1][0]
-
-
-def _model(algorithm, problem, x, eps, beta):
-    """The gradient step x - grad/beta and the minimizer y of the reweighted
-    model around x.
-
-    x is not checked here: the maps check it first, and ``_step`` gets it
-    from the objective call that accepted it.
-    """
-    center = x - problem.smooth.gradient(x) / beta
-    if algorithm == "DIRL1":
-        w = dirl1_weights(x, eps, problem.reg)
-        return center, dirl1_subproblem(center, w, beta, problem.lam)
-    u = dirl2_weights(x, eps, problem.reg)
-    return center, dirl2_subproblem(center, u, beta, problem.lam)
-
-
-def _perturbed_value(algorithm, problem, x, eps):
-    if algorithm == "DIRL1":
-        return problem.perturbed_value_l1(x, eps)
-    return problem.perturbed_value_l2(x, eps)
 
 
 def _check_finite(F, k):
@@ -267,17 +281,31 @@ def _descent_check(F_old, F_new, k):
 def _step(algorithm, state, config, problem):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
-    Each array is checked once per iteration. The objective call that
-    produced ``state`` has checked its x. The weights' call of r' checks
-    |x| + eps (DIRL1) or hypot(x, eps) (DIRL2), and the subproblem checks
-    the weights. The step is checked to be finite, and the objective call
-    here checks the new x and eps with one predicate. The step x_new - x
-    and the gradient step x - grad/beta are each formed once. A step that
-    overflows raises NumericalFailure.
+    Each quantity is formed once and each array checked once per iteration.
+    The objective call that produced ``state`` has checked its x, and has
+    formed and checked (t >= 0 and finite) the radius t = |x| + eps (DIRL1)
+    or hypot(x, eps) (DIRL2) and the product A x (A x - b). The gradient is
+    taken from that product, and the weights take that t and test only
+    t > 0. The subproblem checks the weights. The step is checked to be
+    finite, and the objective call here checks the new x and eps with one
+    predicate and hands their t and product to the next step. A state built
+    by hand without them, or a state of the other algorithm without its t,
+    has them formed and checked here. A step that overflows raises
+    NumericalFailure.
     """
-    x, k = state.x, state.k + 1
+    x, k, beta = state.x, state.k + 1, config.beta
+    smooth, parts = problem.smooth, []
+    radius = state.radius if state.algorithm == algorithm else None
     try:
-        center, y = _model(algorithm, problem, x, state.eps, config.beta)
+        grad = (smooth.gradient(x) if state.product is None
+                else smooth._gradient_at(state.product))
+        center = x - grad / beta
+        if algorithm == "DIRL1":
+            w = dirl1_weights(x, state.eps, problem.reg, _radius=radius)
+            y = dirl1_subproblem(center, w, beta, problem.lam)
+        else:
+            u = dirl2_weights(x, state.eps, problem.reg, _radius=radius)
+            y = dirl2_subproblem(center, u, beta, problem.lam)
         x_new = (1.0 - config.alpha) * x + config.alpha * y
         eps_new = config.eps_factor * state.eps
         dx = x_new - x
@@ -288,23 +316,22 @@ def _step(algorithm, state, config, problem):
             raise NumericalFailure(
                 f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
             )
-        F_new = _perturbed_value(algorithm, problem, x_new, eps_new)
+        if algorithm == "DIRL1":
+            F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
+        else:
+            F_new = problem.perturbed_value_l2(x_new, eps_new, _parts=parts)
     except (NumericalFailure, TypeError, ValueError):
         # Only a state built by hand can hold a bad x; name the bad x rather
         # than the error it caused further on.
         problem.check_vector(x)
         raise
-    _descent_check(state.F_perturbed, F_new, k)
-    return IterateState(
-        k=k,
-        x=x_new,
-        eps=eps_new,
-        y=y,
-        F_perturbed=F_new,
-        step_norm=step_norm,
-        prox_center_inf=float(np.maximum.reduce(np.abs(center))),
-        step=dx,
-    )
+    F_old = state.F_perturbed
+    # A non-finite F fails here first: -inf would pass the comparison.
+    if not (math.isfinite(F_new) and F_new <= F_old + DESCENT_SLACK * max(1.0, abs(F_old))):
+        _descent_check(F_old, F_new, k)
+    radius, product = parts or (None, None)
+    return IterateState(k, x_new, eps_new, y, F_new, step_norm,
+                        float(np.maximum.reduce(np.abs(center))), dx, radius, product, algorithm)
 
 
 def dirl1_step(state, config, problem):
@@ -390,17 +417,35 @@ def validate_config(config, problem):
             "weighted-l2 smoothness condition fails: r'(0+) is finite, so the "
             "subproblem map need not be differentiable at zero coordinates"
         )
+    if isinstance(reg, CustomRegularizer):
+        # Nothing else checks a custom penalty's hypotheses; the loop calls r'
+        # with no check but t > 0.
+        try:
+            holds = check_assumption1(reg, np.geomspace(1e-6, 1e3, 64)).holds
+        except (ArithmeticError, ValueError) as exc:
+            report.warnings.append(f"custom penalty: Assumption 1 not checkable: {exc}")
+        else:
+            if not holds:
+                report.warnings.append(
+                    "custom penalty fails Assumption 1 on the grid geomspace(1e-6, 1e3, 64) "
+                    "(r(0) = 0, r' >= 0 and nonincreasing, r'' <= 0, r'(0+) > 0)"
+                )
     return report
 
 
 def make_initial_state(config, problem, x0):
+    """The k = 0 state of ``config.algorithm``, with its objective's radius and product."""
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
-    F0 = _perturbed_value(config.algorithm, problem, x0, eps)
+    parts = []
+    if config.algorithm == "DIRL1":
+        F0 = problem.perturbed_value_l1(x0, eps, _parts=parts)
+    else:
+        F0 = problem.perturbed_value_l2(x0, eps, _parts=parts)
     _check_finite(F0, 0)
-    return IterateState(
-        k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf
-    )
+    radius, product = parts or (None, None)
+    return IterateState(0, x0, eps, x0.copy(), F0, math.inf,
+                        radius=radius, product=product, algorithm=config.algorithm)
 
 
 def _record(state, eps_inf):
@@ -499,7 +544,6 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         config=config,
         records=records,
         converged=converged,
-        iterations=state.k,
         limit_x=limit_x,
         final_residual=residual,
         diagnostics=_post_run_diagnostics(config, problem, L, C),
@@ -514,12 +558,16 @@ def solution_map(config, problem):
     so its smoothness and Lipschitz behaviour can be probed directly.
     """
     n = problem.dimension
-    algorithm, beta, mu = config.algorithm, config.beta, config.mu
+    algorithm, beta, mu, lam = config.algorithm, config.beta, config.mu, problem.lam
 
     def apply(v):
         v = np.asarray(v, dtype=float)
         x, eps = problem.check_vector(v[:n]), v[n:]
-        _, y = _model(algorithm, problem, x, eps, beta)
+        center = x - problem.smooth.gradient(x) / beta
+        if algorithm == "DIRL1":
+            y = dirl1_subproblem(center, dirl1_weights(x, eps, problem.reg), beta, lam)
+        else:
+            y = dirl2_subproblem(center, dirl2_weights(x, eps, problem.reg), beta, lam)
         return np.concatenate([y, mu * eps])
 
     return apply
@@ -567,15 +615,44 @@ def _json_floats(v):
     return json.dumps(v.tolist())
 
 
+def _grouped_json_floats(first):
+    """A ``_json_floats`` for the vectors of one trace, fast for those whose
+    entries fall into the groups of equal bit patterns of ``first``.
+
+    Each group's value is formatted once, after a check that every entry
+    of the vector holds its group's value; a vector that fails the check
+    takes ``_json_floats``. A solve's eps rows are factor**k * eps0 entrywise,
+    so every row keeps the groups of eps0 (an underflow can merge two
+    groups' values, which the check allows).
+    """
+    bits = first.view(np.int64)
+    if not bits.size or (bits == bits[0]).all():  # a scalar eps0: one value, no sort
+        return _json_floats
+    _, reps, groups = np.unique(bits, return_index=True, return_inverse=True)
+    if reps.size > bits.size // 2:
+        return _json_floats
+    pick = operator.itemgetter(*groups.tolist())
+
+    def dumps(v):
+        vbits = v.view(np.int64)
+        if v.shape != first.shape or not (vbits == vbits[reps][groups]).all():
+            return _json_floats(v)
+        return "[" + ", ".join(pick(json.dumps(v[reps].tolist())[1:-1].split(", "))) + "]"
+
+    return dumps
+
+
 def trace_states_to_jsonl(trace, path):
     """Write the trace's states as JSON lines, k = 0..iterations; a trace whose
     states do not start at k = 0 (a bare run past TAIL_WINDOW) is refused.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
     eps.tolist()})``. The lines are streamed, never joined into one string.
+    The eps rows are grouped by the entries of the first one.
     """
     if len(trace.states) != trace.iterations + 1:
         raise ValueError("trace does not start at k = 0; rerun with trace_full=True")
+    eps_json = _grouped_json_floats(trace.states[0][1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n'
+        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {eps_json(eps)}}}\n'
                       for k, (x, eps) in enumerate(trace.states))

@@ -419,14 +419,16 @@ def _failed_iterations(summary):
     return out
 
 
-def test_escape_failed_start_keeps_its_iteration(tmp_path):
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_escape_failed_start_keeps_its_iteration(tmp_path, algorithm):
     # f = -x1^2/2 + x2^2: the x1 = 1e154 start is finite, and F(x, eps) runs to
-    # -inf after a few steps along the unbounded direction
+    # -inf after a few steps along the unbounded direction. A descent check
+    # that let -inf through would fail the start one iteration later.
     spec = {"smooth": {"kind": "quadratic", "A": [[-1.0, 0.0], [0.0, 2.0]], "b": [0.0, 0.0]},
             "regularizer": {"family": "LOG", "p": 1.0}, "lambda": 1.0}
     exp = ExperimentConfig.from_dict({
         "problem": write_json(tmp_path / "unbounded.json", spec),
-        "solver": {"algorithm": "DIRL1"},
+        "solver": {"algorithm": algorithm},
         "num_inits": 1,
         "init_box": [[1e154, 0], [1.2e154, 1]],
         "seed": 0,

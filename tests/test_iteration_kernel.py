@@ -3,9 +3,12 @@ each array once.
 
 ``old_step`` is the one-step kernel as it was written before the objective
 took one predicate and the step formed each quantity once: the reference
-for the bits. ``run`` with the current kernel must give the same records,
-iterates, limit and diagnostics as ``run`` with ``old_step`` in its place,
-and must fail at the same iteration with the same message.
+for the bits. It also forms, after the fact and the plain way, the radius
+and product that a state now carries from its objective call to the next
+step, so that every field of every state can be compared. ``run`` with the
+current kernel must give the same records, iterates, limit and diagnostics
+as ``run`` with ``old_step`` in its place, and must fail at the same
+iteration with the same message.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from dirw import regularizers, solvers
+from dirw import problems, regularizers, solvers
 from dirw.errors import NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
 from dirw.regularizers import Regularizer
@@ -73,6 +76,26 @@ def old_descent_check(F_old, F_new, k):
         )
 
 
+def old_parts(algorithm, problem, x, eps):
+    """The radius and product that the objective now hands to the next step."""
+    radius = np.abs(x) + eps if algorithm == "DIRL1" else np.hypot(x, eps)
+    smooth = problem.smooth
+    product = smooth.A @ x if smooth.kind == "quadratic" else smooth.A @ x - smooth.b
+    return radius, product
+
+
+def old_make_initial_state(config, problem, x0):
+    x0 = np.array(x0, dtype=float)
+    eps = config.initial_eps(problem.dimension)
+    F0 = old_perturbed_value(config.algorithm, problem, x0, eps)
+    if not math.isfinite(F0):
+        raise NumericalFailure(f"perturbed objective is not finite at iteration 0: {F0!r}",
+                               iteration=0)
+    radius, product = old_parts(config.algorithm, problem, x0, eps)
+    return IterateState(k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf,
+                        radius=radius, product=product, algorithm=config.algorithm)
+
+
 def old_step(algorithm, state, config, problem):
     x, k = state.x, state.k + 1
     try:
@@ -89,6 +112,7 @@ def old_step(algorithm, state, config, problem):
         problem.check_vector(x)
         raise
     old_descent_check(state.F_perturbed, F_new, k)
+    radius, product = old_parts(algorithm, problem, x_new, eps_new)
     return IterateState(
         k=k,
         x=x_new,
@@ -98,6 +122,9 @@ def old_step(algorithm, state, config, problem):
         step_norm=step_norm,
         prox_center_inf=float(np.abs(x - grad / config.beta).max()),
         step=x_new - x,  # what the run loop formed as state.x - prev.x
+        radius=radius,
+        product=product,
+        algorithm=algorithm,
     )
 
 
@@ -131,7 +158,7 @@ def oracle_fingerprint(monkeypatch, config, problem, x0):
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "_step", step)
-        m.setattr(solvers, "_perturbed_value", old_perturbed_value)
+        m.setattr(solvers, "make_initial_state", old_make_initial_state)
         out = fingerprint(config, problem, x0)
     assert calls, "run no longer goes through solvers._step; point the oracle at the kernel"
     return out
@@ -160,10 +187,10 @@ BENCH_STARTS = [(3.0, 3.0), (-2.5, 0.7), (0.1, -3.0), (1e-9, 0.3)]
 @pytest.mark.parametrize("eps_decay", ["damped", "geometric"])
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 def test_run_matches_old_kernel_on_benchmark2d(monkeypatch, algorithm, eps_decay, beta):
-    problems = [benchmark2d(), Problem(benchmark2d().smooth, Regularizer("EXP", 1.0), 1.0)]
+    cases = [benchmark2d(), Problem(benchmark2d().smooth, Regularizer("EXP", 1.0), 1.0)]
     config = SolverConfig(algorithm, beta=beta, eps_decay=eps_decay)
     starts = [*BENCH_STARTS, *np.random.default_rng(5).uniform(-3.0, 3.0, (4, 2))]
-    for problem in problems:
+    for problem in cases:
         for x0 in starts:
             x0 = np.array(x0)
             want = oracle_fingerprint(monkeypatch, config, problem, x0)
@@ -191,16 +218,48 @@ def _state_bits(state):
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 def test_step_matches_old_step(algorithm, eps_decay, beta):
     """Every field of every state, the step that the telescoped bound sums
-    too, which no output of run shows."""
+    and the radius and product carried to the next step too, which no
+    output of run shows. A state built by hand, without the radius and the
+    product, steps to the same bits."""
     config = SolverConfig(algorithm, beta=beta, eps_decay=eps_decay)
     for problem, x0 in [(benchmark2d(), np.array([3.0, 3.0])),
                         (benchmark2d(), np.array([-0.4, 1e-3])),
                         (_least_squares(), np.random.default_rng(6).normal(size=50))]:
         state = solvers.make_initial_state(config, problem, x0)
+        assert _state_bits(state) == _state_bits(old_make_initial_state(config, problem, x0))
         for _ in range(60):
             new = solvers._step(algorithm, state, config, problem)
             assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
+            bare = dataclasses.replace(state, radius=None, product=None)
+            assert _state_bits(solvers._step(algorithm, bare, config, problem)) == _state_bits(new)
             state = new
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_step_of_the_other_algorithms_state_forms_its_radius(algorithm):
+    """A DIRL2 step of a DIRL1 state (or the reverse) cannot take the state's
+    radius: it forms its own, as for a state built without one."""
+    other = "DIRL2" if algorithm == "DIRL1" else "DIRL1"
+    problem, config = benchmark2d(), SolverConfig(other)
+    state = solvers.make_initial_state(config, problem, np.array([1.3, -2.1]))
+    bare = dataclasses.replace(state, radius=None)
+    new = solvers._step(algorithm, state, config, problem)
+    assert _state_bits(new) == _state_bits(solvers._step(algorithm, bare, config, problem))
+    assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_zero_radius_matches_old_kernel(monkeypatch, algorithm):
+    """eps underflows to 0 under geometric decay, and x_1 = 0 stays 0: the
+    carried radius then holds a 0, which takes the weights' masked path."""
+    config = SolverConfig(algorithm, eps0=1e-300, mu=1e-5, eps_decay="geometric", max_iter=40)
+    for problem in (benchmark2d(), Problem(benchmark2d().smooth, Regularizer("EXP", 1.0), 1.0)):
+        x0 = np.array([0.0, 0.3])
+        trace = run(config, problem, x0, trace_full=True)
+        x, eps = trace.states[-1]
+        assert x[0] == 0.0 and not eps.any()
+        want = oracle_fingerprint(monkeypatch, config, problem, x0)
+        assert fingerprint(config, problem, x0) == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -246,7 +305,7 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
 
 
 def _count_checks(monkeypatch, config, problem, x0):
-    counts = {"check_vector": 0, "_check_eps": 0, "_prepare": 0}
+    counts = {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -258,6 +317,8 @@ def _count_checks(monkeypatch, config, problem, x0):
         m.setattr(Problem, "check_vector", counting("check_vector", Problem.check_vector))
         m.setattr(Problem, "_check_eps", counting("_check_eps", Problem._check_eps))
         m.setattr(regularizers, "_prepare", counting("_prepare", regularizers._prepare))
+        for name in ("_l1_radius", "_l2_radius"):
+            m.setattr(problems, name, counting("radius", getattr(problems, name)))
         trace = run(config, problem, x0)
     assert not trace.converged
     return counts, trace.iterations
@@ -266,10 +327,12 @@ def _count_checks(monkeypatch, config, problem, x0):
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 @pytest.mark.parametrize("problem", ["benchmark2d", "least_squares"])
 def test_each_iteration_checks_one_array(monkeypatch, algorithm, problem):
-    """Per iteration: no x or eps check, and one domain check, r' in the weights.
+    """Per iteration: no x, eps or domain check, and one radius formed.
 
-    The objective guards x_new and eps_new with its own single predicate, so
-    a check added back into the loop changes these counts.
+    The objective guards x_new and eps_new with its own single predicate,
+    and its radius goes on to the next step's weights, which test only
+    t > 0. So a check or a second radius added back into the loop changes
+    these counts.
     """
     prob = benchmark2d() if problem == "benchmark2d" else _least_squares()
     x0 = np.full(prob.dimension, 3.0)
@@ -277,4 +340,4 @@ def test_each_iteration_checks_one_array(monkeypatch, algorithm, problem):
     long, k_long = _count_checks(monkeypatch, SolverConfig(algorithm, max_iter=40), prob, x0)
     assert (k_short, k_long) == (20, 40)
     per_iteration = {name: (long[name] - short[name]) / 20 for name in long}
-    assert per_iteration == {"check_vector": 0, "_check_eps": 0, "_prepare": 1}
+    assert per_iteration == {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 1}

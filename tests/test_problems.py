@@ -381,11 +381,10 @@ def test_problems_and_regularizers_pickle_and_deepcopy(copier, rng):
     for problem in (benchmark2d(), lsq):
         n = problem.dimension
         x, eps = rng.normal(size=n), rng.uniform(0.1, 1.0, n)
-        problem.perturbed_value_l1(x, eps)  # fills the product memo
         problem.hessian_smooth()  # fills the Gram cache of a least-squares term
         twin = copier(problem)
         assert type(twin) is Problem and twin.lam == problem.lam
-        assert twin.smooth._memo == (None, None) and twin.smooth._gram is None
+        assert twin.smooth._gram is None
         assert not twin.smooth.A.flags.writeable
         assert twin.perturbed_value_l1(x, eps) == problem.perturbed_value_l1(x, eps)
         assert twin.perturbed_value_l2(x, eps) == problem.perturbed_value_l2(x, eps)

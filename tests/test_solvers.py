@@ -454,6 +454,30 @@ def test_custom_regularizer_without_second_derivative_at_zero_runs(bench):
     assert trace.converged and "lipeomorphism_lhs" not in trace.diagnostics
 
 
+def test_validate_checks_a_custom_penalty_against_assumption1(bench):
+    # The loop takes r' without checking its domain again, so a custom
+    # penalty is checked once per solve, before the first step, on a grid.
+    convex = CustomRegularizer(lambda t: t + t**2, lambda t: 1.0 + 2.0 * t, lambda t: 2.0,
+                               1.0, 2.0)
+    concave = CustomRegularizer(lambda t: t / (1.0 + t), lambda t: 1.0 / (1.0 + t) ** 2,
+                                lambda t: -2.0 / (1.0 + t) ** 3, 1.0, -2.0)
+    failing = CustomRegularizer(lambda t: t, lambda t: math.log(-t), lambda t: 0.0, 1.0, 0.0)
+    builtins = [bench.reg, *(Regularizer(family, 1.0) for family in ("EXP", "LOG", "FRA", "TAN"))]
+    for algorithm in ("DIRL1", "DIRL2"):
+        config = SolverConfig(algorithm)
+
+        def warnings(reg):
+            return [w for w in validate_config(config, Problem(bench.smooth, reg, 1.0)).warnings
+                    if "custom penalty" in w]
+
+        assert [w.split(" on the grid")[0] for w in warnings(convex)] == [
+            "custom penalty fails Assumption 1"]
+        assert warnings(failing) == [
+            "custom penalty: Assumption 1 not checkable: math domain error"]
+        for reg in [concave, *builtins]:
+            assert warnings(reg) == [], reg
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig("DIRL3")
@@ -692,6 +716,36 @@ def _oracle_lines(states):
 @example(states=[(np.zeros(0), np.full(3, -0.0)), (np.full(3, 0.0), np.full(3, math.nan)),
                  (np.full(4, math.inf), np.array([math.nan, OTHER_NAN]))])
 def test_trace_jsonl_lines_are_json_dumps(states):
+    trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "states.jsonl")
+        trace_states_to_jsonl(trace, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _oracle_lines(states)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(STATE_ENTRIES, min_size=1, max_size=3),
+       groups=st.lists(st.integers(0, 2), min_size=1, max_size=12),
+       factor=st.sampled_from((0.86, 0.5, 1e-200, 1.0, -1.0, math.inf)),
+       breaks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 11), STATE_ENTRIES),
+                       max_size=3),
+       reshaped=st.booleans())
+@example(values=[1.0, 0.5], groups=[0, 1] * 6, factor=0.86, breaks=[], reshaped=False)
+@example(values=[0.0, -0.0], groups=[0, 1, 0, 1], factor=1.0, breaks=[], reshaped=False)
+@example(values=[math.nan, OTHER_NAN], groups=[0, 1, 1, 0], factor=1.0, breaks=[(2, 1, 2.0)],
+         reshaped=True)
+def test_trace_jsonl_grouped_eps_rows_are_json_dumps(values, groups, factor, breaks, reshaped):
+    """eps rows that keep the groups of equal entries of the first row, as a
+    solve's rows factor**k * eps0 do, and rows that break them."""
+    eps0 = np.array([values[g % len(values)] for g in groups])
+    with np.errstate(all="ignore"):
+        rows = [eps0 * factor**k for k in range(6)]
+    for k, i, value in breaks:
+        rows[k][i % eps0.size] = value
+    if reshaped:
+        rows.append(np.concatenate([eps0, eps0]))
+    states = [(np.array([float(k)]), row) for k, row in enumerate(rows)]
     trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "states.jsonl")

@@ -59,10 +59,14 @@ DEFAULTED = [
     "jacobians.dirl2_jacobian(eps_decay)",
     "jacobians.finite_difference_jacobian(columns)",
     "jacobians.finite_difference_jacobian(h)",
+    "problems.Problem.perturbed_value_l1(_parts)",
+    "problems.Problem.perturbed_value_l2(_parts)",
     "problems.SmoothTerm.__init__(c)",
     "regularizers.CustomRegularizer.__init__(second_derivative_at_zero)",
     "selfcheck.check_concavity(regularizers)",
     "selfcheck.check_derivative_consistency(regularizers)",
+    "solvers.dirl1_weights(_radius)",
+    "solvers.dirl2_weights(_radius)",
     "solvers.run(record_every)",
     "solvers.run(trace_full)",
 ]
@@ -124,9 +128,12 @@ FIELDS = [
     "selfcheck.CheckResult.name",
     "selfcheck.CheckResult.passed",
     "solvers.IterateState.F_perturbed",
+    "solvers.IterateState.algorithm",
     "solvers.IterateState.eps",
     "solvers.IterateState.k",
+    "solvers.IterateState.product",
     "solvers.IterateState.prox_center_inf",
+    "solvers.IterateState.radius",
     "solvers.IterateState.step",
     "solvers.IterateState.step_norm",
     "solvers.IterateState.x",
@@ -135,7 +142,6 @@ FIELDS = [
     "solvers.SolveTrace.converged",
     "solvers.SolveTrace.diagnostics",
     "solvers.SolveTrace.final_residual",
-    "solvers.SolveTrace.iterations",
     "solvers.SolveTrace.limit_x",
     "solvers.SolveTrace.records",
     "solvers.SolveTrace.states",
