@@ -21,7 +21,6 @@ of the smooth term); this is asserted at every step.
 
 import json
 import math
-import operator
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -202,6 +201,9 @@ class SolverConfig:
             raise ValueError(f"solver config: {exc}") from exc
 
 
+_NO_ORIGIN = (None, None, None, None)
+
+
 @dataclass(slots=True)
 class IterateState:
     """One iterate, with what the objective call that accepted it formed."""
@@ -222,9 +224,14 @@ class IterateState:
     #: A x (A x - b for least squares), formed by the same objective call;
     #: None in a state built by hand, whose step then forms the gradient from x.
     product: np.ndarray = None
-    #: The algorithm whose objective formed ``radius``; a step of the other
-    #: algorithm forms its own.
-    algorithm: str = None
+    #: (problem, algorithm, x, eps) of the objective call that formed
+    #: ``radius`` and ``product``. A step takes them only when its problem and
+    #: the state's x and eps are these objects, and ``radius`` only when its
+    #: algorithm is this one too; otherwise it forms its own. So a state
+    #: stepped with another problem, or given a new x or eps (by
+    #: ``dataclasses.replace``), is stepped from its x and eps alone. A
+    #: state's arrays must not be changed in place.
+    origin: tuple = None
 
 
 @dataclass(frozen=True)
@@ -269,6 +276,7 @@ def _check_finite(F, k):
 
 
 def _descent_check(F_old, F_new, k):
+    # A non-finite F fails first: -inf would pass the comparison.
     _check_finite(F_new, k)
     if F_new > F_old + DESCENT_SLACK * max(1.0, abs(F_old)):
         raise NumericalFailure(
@@ -289,16 +297,20 @@ def _step(algorithm, state, config, problem):
     t > 0. The subproblem checks the weights. The step is checked to be
     finite, and the objective call here checks the new x and eps with one
     predicate and hands their t and product to the next step. A state built
-    by hand without them, or a state of the other algorithm without its t,
-    has them formed and checked here. A step that overflows raises
-    NumericalFailure.
+    by hand without them, or one whose ``origin`` does not match this step
+    (another problem, x, eps or, for t, algorithm), has them formed and
+    checked here. A step that overflows raises NumericalFailure.
     """
     x, k, beta = state.x, state.k + 1, config.beta
     smooth, parts = problem.smooth, []
-    radius = state.radius if state.algorithm == algorithm else None
+    of_problem, of_algorithm, of_x, of_eps = state.origin or _NO_ORIGIN
+    product = radius = None
+    if of_problem is problem and of_x is x and of_eps is state.eps:
+        product = state.product
+        if of_algorithm == algorithm:
+            radius = state.radius
     try:
-        grad = (smooth.gradient(x) if state.product is None
-                else smooth._gradient_at(state.product))
+        grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
         center = x - grad / beta
         if algorithm == "DIRL1":
             w = dirl1_weights(x, state.eps, problem.reg, _radius=radius)
@@ -325,22 +337,28 @@ def _step(algorithm, state, config, problem):
         # than the error it caused further on.
         problem.check_vector(x)
         raise
-    F_old = state.F_perturbed
-    # A non-finite F fails here first: -inf would pass the comparison.
-    if not (math.isfinite(F_new) and F_new <= F_old + DESCENT_SLACK * max(1.0, abs(F_old))):
-        _descent_check(F_old, F_new, k)
+    _descent_check(state.F_perturbed, F_new, k)
     radius, product = parts or (None, None)
     return IterateState(k, x_new, eps_new, y, F_new, step_norm,
-                        float(np.maximum.reduce(np.abs(center))), dx, radius, product, algorithm)
+                        float(np.maximum.reduce(np.abs(center))), dx, radius, product,
+                        (problem, algorithm, x_new, eps_new))
 
 
 def dirl1_step(state, config, problem):
-    """One damped weighted-l1 step; asserts descent of F(x, eps)."""
+    """One damped weighted-l1 step; asserts descent of F(x, eps).
+
+    The radius and product that ``state`` carries are used only for the
+    problem, x and eps they were formed at (see ``IterateState.origin``).
+    """
     return _step("DIRL1", state, config, problem)
 
 
 def dirl2_step(state, config, problem):
-    """One damped weighted-l2 step; asserts descent of F(x, eps)."""
+    """One damped weighted-l2 step; asserts descent of F(x, eps).
+
+    The radius and product that ``state`` carries are used only for the
+    problem, x and eps they were formed at (see ``IterateState.origin``).
+    """
     return _step("DIRL2", state, config, problem)
 
 
@@ -444,8 +462,8 @@ def make_initial_state(config, problem, x0):
         F0 = problem.perturbed_value_l2(x0, eps, _parts=parts)
     _check_finite(F0, 0)
     radius, product = parts or (None, None)
-    return IterateState(0, x0, eps, x0.copy(), F0, math.inf,
-                        radius=radius, product=product, algorithm=config.algorithm)
+    return IterateState(0, x0, eps, x0.copy(), F0, math.inf, radius=radius, product=product,
+                        origin=(problem, config.algorithm, x0, eps))
 
 
 def _record(state, eps_inf):
@@ -615,44 +633,15 @@ def _json_floats(v):
     return json.dumps(v.tolist())
 
 
-def _grouped_json_floats(first):
-    """A ``_json_floats`` for the vectors of one trace, fast for those whose
-    entries fall into the groups of equal bit patterns of ``first``.
-
-    Each group's value is formatted once, after a check that every entry
-    of the vector holds its group's value; a vector that fails the check
-    takes ``_json_floats``. A solve's eps rows are factor**k * eps0 entrywise,
-    so every row keeps the groups of eps0 (an underflow can merge two
-    groups' values, which the check allows).
-    """
-    bits = first.view(np.int64)
-    if not bits.size or (bits == bits[0]).all():  # a scalar eps0: one value, no sort
-        return _json_floats
-    _, reps, groups = np.unique(bits, return_index=True, return_inverse=True)
-    if reps.size > bits.size // 2:
-        return _json_floats
-    pick = operator.itemgetter(*groups.tolist())
-
-    def dumps(v):
-        vbits = v.view(np.int64)
-        if v.shape != first.shape or not (vbits == vbits[reps][groups]).all():
-            return _json_floats(v)
-        return "[" + ", ".join(pick(json.dumps(v[reps].tolist())[1:-1].split(", "))) + "]"
-
-    return dumps
-
-
 def trace_states_to_jsonl(trace, path):
     """Write the trace's states as JSON lines, k = 0..iterations; a trace whose
     states do not start at k = 0 (a bare run past TAIL_WINDOW) is refused.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
     eps.tolist()})``. The lines are streamed, never joined into one string.
-    The eps rows are grouped by the entries of the first one.
     """
     if len(trace.states) != trace.iterations + 1:
         raise ValueError("trace does not start at k = 0; rerun with trace_full=True")
-    eps_json = _grouped_json_floats(trace.states[0][1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {eps_json(eps)}}}\n'
+        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n'
                       for k, (x, eps) in enumerate(trace.states))

@@ -93,7 +93,8 @@ def old_make_initial_state(config, problem, x0):
                                iteration=0)
     radius, product = old_parts(config.algorithm, problem, x0, eps)
     return IterateState(k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf,
-                        radius=radius, product=product, algorithm=config.algorithm)
+                        radius=radius, product=product,
+                        origin=(problem, config.algorithm, x0, eps))
 
 
 def old_step(algorithm, state, config, problem):
@@ -124,7 +125,7 @@ def old_step(algorithm, state, config, problem):
         step=x_new - x,  # what the run loop formed as state.x - prev.x
         radius=radius,
         product=product,
-        algorithm=algorithm,
+        origin=(problem, algorithm, x_new, eps_new),
     )
 
 
@@ -209,8 +210,12 @@ def test_run_matches_old_kernel_on_least_squares(monkeypatch, algorithm, eps_dec
 
 
 def _state_bits(state):
-    return {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+    bits = {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
             for f in dataclasses.fields(state) for v in [getattr(state, f.name)]}
+    if state.origin is not None:
+        problem, algorithm, x, eps = state.origin
+        bits["origin"] = (id(problem), algorithm, x is state.x, eps is state.eps)
+    return bits
 
 
 @pytest.mark.parametrize("beta", [4.0, 3.3])
@@ -246,6 +251,26 @@ def test_step_of_the_other_algorithms_state_forms_its_radius(algorithm):
     new = solvers._step(algorithm, state, config, problem)
     assert _state_bits(new) == _state_bits(solvers._step(algorithm, bare, config, problem))
     assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_step_with_another_problem_or_x_forms_its_own_parts(algorithm):
+    """A state stepped with a problem other than the one that built it, or
+    given a new x or eps, cannot take the radius and product it carries:
+    the step forms them from its own problem, x and eps."""
+    config = SolverConfig(algorithm)
+    built_for = benchmark2d()
+    other = Problem(SmoothTerm("least_squares", [[0.2, -0.1], [0.05, 0.3]], [0.1, -0.2]),
+                    built_for.reg, built_for.lam)
+    state = solvers.make_initial_state(config, built_for, np.array([1.3, -2.1]))
+    bare = dataclasses.replace(state, radius=None, product=None)
+    new = solvers._step(algorithm, state, config, other)
+    assert _state_bits(new) == _state_bits(solvers._step(algorithm, bare, config, other))
+    assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, other))
+    for moved in (dataclasses.replace(state, x=np.array([0.4, 0.2])),
+                  dataclasses.replace(state, eps=2.0 * state.eps)):
+        new = solvers._step(algorithm, moved, config, built_for)
+        assert _state_bits(new) == _state_bits(old_step(algorithm, moved, config, built_for))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])

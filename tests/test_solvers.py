@@ -723,32 +723,3 @@ def test_trace_jsonl_lines_are_json_dumps(states):
         with open(path, "rb") as fh:
             assert fh.read() == _oracle_lines(states)
 
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(values=st.lists(STATE_ENTRIES, min_size=1, max_size=3),
-       groups=st.lists(st.integers(0, 2), min_size=1, max_size=12),
-       factor=st.sampled_from((0.86, 0.5, 1e-200, 1.0, -1.0, math.inf)),
-       breaks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 11), STATE_ENTRIES),
-                       max_size=3),
-       reshaped=st.booleans())
-@example(values=[1.0, 0.5], groups=[0, 1] * 6, factor=0.86, breaks=[], reshaped=False)
-@example(values=[0.0, -0.0], groups=[0, 1, 0, 1], factor=1.0, breaks=[], reshaped=False)
-@example(values=[math.nan, OTHER_NAN], groups=[0, 1, 1, 0], factor=1.0, breaks=[(2, 1, 2.0)],
-         reshaped=True)
-def test_trace_jsonl_grouped_eps_rows_are_json_dumps(values, groups, factor, breaks, reshaped):
-    """eps rows that keep the groups of equal entries of the first row, as a
-    solve's rows factor**k * eps0 do, and rows that break them."""
-    eps0 = np.array([values[g % len(values)] for g in groups])
-    with np.errstate(all="ignore"):
-        rows = [eps0 * factor**k for k in range(6)]
-    for k, i, value in breaks:
-        rows[k][i % eps0.size] = value
-    if reshaped:
-        rows.append(np.concatenate([eps0, eps0]))
-    states = [(np.array([float(k)]), row) for k, row in enumerate(rows)]
-    trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "states.jsonl")
-        trace_states_to_jsonl(trace, path)
-        with open(path, "rb") as fh:
-            assert fh.read() == _oracle_lines(states)

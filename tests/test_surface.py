@@ -128,9 +128,9 @@ FIELDS = [
     "selfcheck.CheckResult.name",
     "selfcheck.CheckResult.passed",
     "solvers.IterateState.F_perturbed",
-    "solvers.IterateState.algorithm",
     "solvers.IterateState.eps",
     "solvers.IterateState.k",
+    "solvers.IterateState.origin",
     "solvers.IterateState.product",
     "solvers.IterateState.prox_center_inf",
     "solvers.IterateState.radius",
