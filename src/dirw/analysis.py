@@ -38,10 +38,6 @@ CLASS_STRICT_LOCAL_MIN = "StrictLocalMin"
 CLASS_STRICT_SADDLE = "StrictSaddle"
 CLASS_DEGENERATE = "Degenerate"
 
-#: Lookup from sign + 1 (0, 1, 2) to the fingerprint characters.
-_SIGN_CHARS = np.frombuffer(b"-0+", dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class SupportPattern:
     active: tuple
@@ -60,8 +56,15 @@ def _signs(x, tol):
 
 
 def _sign_string(x, tol):
-    """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``."""
-    return _SIGN_CHARS[_signs(x, tol) + 1].tobytes().decode("ascii")
+    """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``.
+
+    ``x > tol`` is ``|x| > tol`` for x > 0 and ``x < -tol`` is for x < 0,
+    since negation is exact; NaN fails both and reads as 0.
+    """
+    chars = np.full(x.shape, 48, dtype=np.uint8)  # b"0"
+    chars[x > tol] = 43  # b"+"
+    chars[x < -tol] = 45  # b"-"
+    return chars.tobytes().decode("ascii")
 
 
 def support(x, tol=SUPPORT_TOL):

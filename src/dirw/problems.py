@@ -50,6 +50,13 @@ class SmoothTerm:
     for least squares). The solver forms it once per iterate, in the
     objective, and takes the next step's gradient from it through
     ``_gradient_at``.
+
+    Every product goes through ``ndarray.dot``: at the solver's small n the
+    dispatch of the ``@`` gufunc costs more than the product itself. For a
+    contraction of length 2 or more both run the same BLAS kernels and give
+    the same bits. At length 1 (n = 1, or A'r for a least-squares term with
+    one row) ``.dot`` keeps the sign of an exactly-zero product, which ``@``
+    returns as +0.0.
     """
 
     __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz")
@@ -85,7 +92,7 @@ class SmoothTerm:
 
     def _product(self, x):
         """A x for a quadratic term, A x - b for least squares."""
-        return self.A @ x if self.kind == "quadratic" else self.A @ x - self.b
+        return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
 
     def value(self, x):
         return self._value_at(x, self._product(x))
@@ -93,8 +100,8 @@ class SmoothTerm:
     def _value_at(self, x, product):
         """f(x), given ``product = self._product(x)``."""
         if self.kind == "quadratic":
-            return float(0.5 * x @ product + self.b @ x + self.c)
-        return float(0.5 * product @ product) + self.c
+            return float((0.5 * x).dot(product) + self.b.dot(x) + self.c)
+        return float((0.5 * product).dot(product)) + self.c
 
     def gradient(self, x):
         return self._gradient_at(self._product(x))
@@ -103,7 +110,7 @@ class SmoothTerm:
         """The gradient at the x whose ``self._product(x)`` is ``product``."""
         if self.kind == "quadratic":
             return product + self.b
-        return self.A.T @ product
+        return self.A.T.dot(product)
 
     def hessian(self):
         """The constant Hessian, read-only: A, or A'A formed on first use."""
@@ -211,20 +218,28 @@ class Problem:
         ``parts``, a list passed by the solver, receives the checked t and
         ``smooth._product(x)`` when the predicate accepted them, so the next
         step neither forms nor checks either again. It stays empty otherwise.
+        The solver passes it only with a finite x and an eps >= 0 and finite,
+        for which only an overflow of t can warn: so t is formed with
+        warnings on, once, and a t that fails the predicate is not formed
+        again. Any other call forms t quietly and, if the predicate fails,
+        once more with warnings after x and eps have passed their checks.
         """
         x = np.asarray(x, dtype=float)
+        t = None  # a t formed with warnings on: the checks below take it as it is
         if (x.shape == (self.dimension,) and type(eps) is np.ndarray
                 and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
-            t = _quietly(radius, x, eps)
+            t = _quietly(radius, x, eps) if parts is None else radius(x, eps)
             if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
                 r = self.reg._value_in_domain(t)
                 product = self.smooth._product(x)
                 if parts is not None:
                     parts += (t, product)
                 return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))
+            if parts is None:  # formed quietly: formed again below, with warnings
+                t = None
         x = self.check_vector(x)
         eps = self._check_eps(x, eps)
-        return self.smooth.value(x) + self.penalty_value(radius(x, eps))
+        return self.smooth.value(x) + self.penalty_value(radius(x, eps) if t is None else t)
 
     def gradient_smooth(self, x):
         return self.smooth.gradient(self.check_vector(x))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, problems
 from .errors import ConfigValidationError, NumericalFailure, integer, json_object, real, real_array
-from .regularizers import CustomRegularizer, check_assumption1, derivative_inverse
+from .regularizers import CustomRegularizer, Regularizer, check_assumption1, derivative_inverse
 
 ALGORITHMS = ("DIRL1", "DIRL2")
 EPS_DECAY_MODES = ("damped", "geometric")
@@ -46,11 +46,20 @@ def soft_threshold(z, w):
 
     Exact ties |z_i| = w_i land on the zero branch.
     """
-    z = np.asarray(z, dtype=float)
+    return _shrink(np.asarray(z, dtype=float), _nonnegative(w, "thresholds must be nonnegative"))
+
+
+def _shrink(z, w):
+    """The soft threshold of float arrays, for thresholds known to be >= 0 and not NaN."""
+    return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
+
+
+def _nonnegative(w, message):
+    """``w`` as a float array; ValueError(message) if an entry is negative or NaN."""
     w = np.asarray(w, dtype=float)
     if np.count_nonzero(w >= 0.0) != w.size:  # NaN fails the comparison too
-        raise ValueError("thresholds must be nonnegative")
-    return np.sign(z) * np.maximum(np.abs(z) - w, 0.0)
+        raise ValueError(message)
+    return w
 
 
 def dirl1_weights(x, eps, reg, *, _radius=None):
@@ -84,9 +93,17 @@ def dirl1_weights(x, eps, reg, *, _radius=None):
     return w
 
 
-def dirl1_subproblem(center, w, beta, lam):
+def dirl1_subproblem(center, w, beta, lam, *, _checked=False):
     """Minimizer of the weighted-l1 model around x: the gradient step
-    ``center = x - grad/beta``, soft-thresholded at lam w / beta."""
+    ``center = x - grad/beta``, soft-thresholded at lam w / beta.
+
+    The solver passes ``_checked=True`` for a built-in penalty, whose
+    weights are r' values at checked points and so are >= 0 and never NaN
+    (the float arrays ``center`` and ``w`` are then taken as they are);
+    the thresholds are checked otherwise.
+    """
+    if _checked:
+        return _shrink(center, lam * w / beta)
     return soft_threshold(center, lam * np.asarray(w, dtype=float) / beta)
 
 
@@ -121,12 +138,14 @@ def _over_twice(d, z):
     return d / (2.0 * z)
 
 
-def dirl2_subproblem(center, u, beta, lam):
+def dirl2_subproblem(center, u, beta, lam, *, _checked=False):
     """Minimizer of the weighted-l2 model around x, from the gradient step
-    ``center = x - grad/beta``; u_i = inf pins coordinate i to 0."""
-    u = np.asarray(u, dtype=float)
-    if np.count_nonzero(u >= 0.0) != u.size:  # NaN fails the comparison too
-        raise ValueError("weights must be nonnegative")
+    ``center = x - grad/beta``; u_i = inf pins coordinate i to 0.
+
+    ``_checked=True`` skips the check of the weights, as in ``dirl1_subproblem``.
+    """
+    if not _checked:
+        u = _nonnegative(u, "weights must be nonnegative")
     return np.where(np.isinf(u), 0.0, center / (1.0 + (2.0 * lam / beta) * u))
 
 
@@ -294,15 +313,19 @@ def _step(algorithm, state, config, problem):
     formed and checked (t >= 0 and finite) the radius t = |x| + eps (DIRL1)
     or hypot(x, eps) (DIRL2) and the product A x (A x - b). The gradient is
     taken from that product, and the weights take that t and test only
-    t > 0. The subproblem checks the weights. The step is checked to be
-    finite, and the objective call here checks the new x and eps with one
-    predicate and hands their t and product to the next step. A state built
-    by hand without them, or one whose ``origin`` does not match this step
-    (another problem, x, eps or, for t, algorithm), has them formed and
-    checked here. A step that overflows raises NumericalFailure.
+    t > 0. The subproblem checks the weights only for a penalty other than
+    a built-in ``Regularizer``, whose weights are r' values at checked
+    points: >= 0 and never NaN. The step is checked to be finite, and the
+    objective call here checks the new x and eps with one predicate and
+    hands their t and product to the next step. A state built by hand
+    without them, or one whose ``origin`` does not match this step (another
+    problem, x, eps or, for t, algorithm), has them formed and checked here;
+    an eps that no objective call accepted is checked before the objective
+    call, which takes it to be >= 0 and finite. A step that overflows raises
+    NumericalFailure.
     """
-    x, k, beta = state.x, state.k + 1, config.beta
-    smooth, parts = problem.smooth, []
+    x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
+    smooth, parts, checked = problem.smooth, [], type(reg) is Regularizer
     of_problem, of_algorithm, of_x, of_eps = state.origin or _NO_ORIGIN
     product = radius = None
     if of_problem is problem and of_x is x and of_eps is state.eps:
@@ -313,11 +336,11 @@ def _step(algorithm, state, config, problem):
         grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
         center = x - grad / beta
         if algorithm == "DIRL1":
-            w = dirl1_weights(x, state.eps, problem.reg, _radius=radius)
-            y = dirl1_subproblem(center, w, beta, problem.lam)
+            w = dirl1_weights(x, state.eps, reg, _radius=radius)
+            y = dirl1_subproblem(center, w, beta, problem.lam, _checked=checked)
         else:
-            u = dirl2_weights(x, state.eps, problem.reg, _radius=radius)
-            y = dirl2_subproblem(center, u, beta, problem.lam)
+            u = dirl2_weights(x, state.eps, reg, _radius=radius)
+            y = dirl2_subproblem(center, u, beta, problem.lam, _checked=checked)
         x_new = (1.0 - config.alpha) * x + config.alpha * y
         eps_new = config.eps_factor * state.eps
         dx = x_new - x
@@ -328,6 +351,8 @@ def _step(algorithm, state, config, problem):
             raise NumericalFailure(
                 f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
             )
+        if of_eps is not state.eps:  # checked as the objective's fallback checks it
+            problem._check_eps(problem.check_vector(x_new), eps_new)
         if algorithm == "DIRL1":
             F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
         else:
@@ -455,6 +480,7 @@ def make_initial_state(config, problem, x0):
     """The k = 0 state of ``config.algorithm``, with its objective's radius and product."""
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
+    problem.check_vector(x0)  # an objective call with _parts takes x to be finite
     parts = []
     if config.algorithm == "DIRL1":
         F0 = problem.perturbed_value_l1(x0, eps, _parts=parts)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirw.analysis import (
     CLASS_DEGENERATE,
@@ -10,6 +13,7 @@ from dirw.analysis import (
     SNAP_RATIO,
     SNAP_SMALL,
     SUPPORT_TOL,
+    _sign_string,
     check_support_identification,
     classify_stationary_point,
     extrapolate_limit,
@@ -34,6 +38,22 @@ def test_support_basic():
     assert support(np.array([1e-12, 1.0]), tol=1e-10).active == (1,)
     with pytest.raises(ValueError):
         support(np.zeros(2), tol=-1.0)
+
+
+SIGN_ENTRIES = st.one_of(
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1e-10, -1e-10, 2.2250738585072014e-308)),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(x=hnp.arrays(np.float64, st.integers(0, 50), elements=SIGN_ENTRIES),
+       tol=st.sampled_from((0.0, 5e-324, SUPPORT_TOL, 1.0)) | st.floats(0.0, 1e300))
+def test_sign_string_is_the_support_bits(x, tol):
+    # |x_i| > tol picks the sign; NaN, zeros of either sign and |x_i| <= tol read 0.
+    want = "".join("0" if not abs(v) > tol else "+" if v > 0.0 else "-" for v in x.tolist())
+    assert _sign_string(x, tol) == support(x, tol).bits == want
 
 
 def test_stationarity_at_benchmark_points(bench, saddle_x2):

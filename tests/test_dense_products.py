@@ -7,6 +7,11 @@ takes its gradient from it. The properties below check that every result
 equals the unshared formula bit for bit, however the points repeat or
 change in place, and that ``run`` does one product per objective
 evaluation plus one A'r per least-squares step.
+
+Every product goes through ``ndarray.dot``, which at small n costs about a
+third of the ``@`` gufunc. A property below pins that ``.dot`` and ``@``
+give the same bytes for every contraction of length 2 or more, and differ
+at most in the sign of a zero at length 1.
 """
 
 import struct
@@ -31,12 +36,12 @@ def formula(term, name, x):
     A, b = term.A, term.b
     if term.kind == "quadratic":
         if name == "value":
-            return float(0.5 * x @ (A @ x) + b @ x + term.c)
-        return A @ x + b
+            return float((0.5 * x).dot(A.dot(x)) + b.dot(x) + term.c)
+        return A.dot(x) + b
     if name == "value":
-        res = A @ x - b
-        return float(0.5 * res @ res) + term.c
-    return A.T @ (A @ x - b)
+        res = A.dot(x) - b
+        return float((0.5 * res).dot(res)) + term.c
+    return A.T.dot(A.dot(x) - b)
 
 
 def bits(out):
@@ -120,13 +125,21 @@ def test_object_arrays_are_never_reused(kind):
 
 
 class CountingMatrix(np.ndarray):
-    """A matrix that counts its matrix-vector products by shape."""
+    """A matrix that counts its matrix-vector products by shape, through
+    ``.dot`` or ``@``."""
 
     counts = None
 
-    def __matmul__(self, other):
+    def _count(self, other):
         if np.ndim(other) == 1:
             CountingMatrix.counts[self.shape] = CountingMatrix.counts.get(self.shape, 0) + 1
+
+    def dot(self, other):
+        self._count(other)
+        return np.asarray(self).dot(other)
+
+    def __matmul__(self, other):
+        self._count(other)
         return np.asarray(self) @ other
 
 
@@ -165,3 +178,44 @@ def test_run_does_one_product_per_objective_call(kind, algorithm, monkeypatch):
         assert CountingMatrix.counts == {(6, 5): 62, (5, 6): 61}
     else:
         assert CountingMatrix.counts == {(5, 5): 62}
+
+
+# -- ndarray.dot against @ ------------------------------------------------------
+
+PRODUCT_ENTRIES = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1.0, -1.0)),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+def same_bytes_or_zero_sign(dot, matmul, length):
+    """``.dot`` and ``@`` agree byte for byte; at contraction length 1 an
+    exact zero may differ in sign."""
+    dot, matmul = np.asarray(dot), np.asarray(matmul)
+    assert (dot.dtype, dot.shape) == (matmul.dtype, matmul.shape)
+    if length >= 2:
+        assert dot.tobytes() == matmul.tobytes()
+    else:
+        assert np.array_equal(dot, matmul, equal_nan=True)
+        same = dot.view(np.int64) == matmul.view(np.int64)
+        assert ((dot == 0.0) | same).all()
+
+
+@st.composite
+def products(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    A = draw(hnp.arrays(np.float64, (m, n), elements=PRODUCT_ENTRIES))
+    if draw(st.booleans()):
+        A = np.asfortranarray(A)
+    x, v = (draw(hnp.arrays(np.float64, (n,), elements=PRODUCT_ENTRIES)) for _ in range(2))
+    r = draw(hnp.arrays(np.float64, (m,), elements=PRODUCT_ENTRIES))
+    return A, x, v, r
+
+
+@SETTINGS
+@given(case=products())
+def test_dot_equals_matmul(case):
+    A, x, v, r = case
+    n, m = x.size, r.size
+    with np.errstate(all="ignore"):  # the products may overflow; the bits are compared
+        same_bytes_or_zero_sign(A.dot(x), A @ x, n)
+        same_bytes_or_zero_sign(A.T.dot(r), A.T @ r, m)
+        same_bytes_or_zero_sign(x.dot(v), x @ v, n)

@@ -13,6 +13,7 @@ iteration with the same message.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from dirw import problems, regularizers, solvers
 from dirw.errors import NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
-from dirw.regularizers import Regularizer
+from dirw.regularizers import CustomRegularizer, Regularizer
 from dirw.solvers import (
     IterateState,
     SolverConfig,
@@ -330,7 +331,8 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
 
 
 def _count_checks(monkeypatch, config, problem, x0):
-    counts = {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 0}
+    counts = {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 0,
+              "_quietly": 0, "weight check": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -344,25 +346,128 @@ def _count_checks(monkeypatch, config, problem, x0):
         m.setattr(regularizers, "_prepare", counting("_prepare", regularizers._prepare))
         for name in ("_l1_radius", "_l2_radius"):
             m.setattr(problems, name, counting("radius", getattr(problems, name)))
+        m.setattr(problems, "_quietly", counting("_quietly", problems._quietly))
+        m.setattr(solvers, "_nonnegative", counting("weight check", solvers._nonnegative))
         trace = run(config, problem, x0)
     assert not trace.converged
     return counts, trace.iterations
 
 
+def _custom_log():
+    """LOG with p = 1 as a CustomRegularizer, whose r' the loop cannot vouch for."""
+    return CustomRegularizer(np.log1p, lambda t: 1.0 / (1.0 + t),
+                             lambda t: -1.0 / (1.0 + t) ** 2, 1.0, -1.0)
+
+
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
-@pytest.mark.parametrize("problem", ["benchmark2d", "least_squares"])
+@pytest.mark.parametrize("problem", ["benchmark2d", "least_squares", "custom"])
 def test_each_iteration_checks_one_array(monkeypatch, algorithm, problem):
-    """Per iteration: no x, eps or domain check, and one radius formed.
+    """Per iteration: no x, eps or domain check, one radius formed, no
+    error-state switch, and a weight check only for a custom penalty.
 
     The objective guards x_new and eps_new with its own single predicate,
-    and its radius goes on to the next step's weights, which test only
-    t > 0. So a check or a second radius added back into the loop changes
-    these counts.
+    and its radius, formed with warnings on, goes on to the next step's
+    weights, which test only t > 0. A built-in penalty's weights are r'
+    values at checked points, so the subproblem takes them unchecked. So a
+    check, a second radius or an errstate switch added back into the loop
+    changes these counts.
     """
-    prob = benchmark2d() if problem == "benchmark2d" else _least_squares()
+    if problem == "custom":
+        prob = Problem(benchmark2d().smooth, _custom_log(), 1.0)
+    else:
+        prob = benchmark2d() if problem == "benchmark2d" else _least_squares()
     x0 = np.full(prob.dimension, 3.0)
     short, k_short = _count_checks(monkeypatch, SolverConfig(algorithm, max_iter=20), prob, x0)
     long, k_long = _count_checks(monkeypatch, SolverConfig(algorithm, max_iter=40), prob, x0)
     assert (k_short, k_long) == (20, 40)
     per_iteration = {name: (long[name] - short[name]) / 20 for name in long}
-    assert per_iteration == {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 1}
+    assert per_iteration == {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 1,
+                             "_quietly": 0, "weight check": int(problem == "custom")}
+
+
+def _failing_run(monkeypatch, step, make_initial_state, config, problem, x0):
+    """The steps that ``run`` took with ``step`` and the ValueError it raised."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_step", counted)
+        m.setattr(solvers, "make_initial_state", make_initial_state)
+        with pytest.raises(ValueError) as err:
+            run(config, problem, x0)
+    return len(calls), str(err.value)
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_custom_penalty_with_a_negative_derivative_fails_where_old_kernel_fails(
+        monkeypatch, algorithm):
+    """r'(t) = t - 0.05 turns negative once |x_1| + eps_1 falls below 0.05:
+    the subproblem refuses that weight at the iteration the old kernel did."""
+    reg = CustomRegularizer(lambda t: 0.5 * t * t - 0.05 * t, lambda t: t - 0.05,
+                            lambda t: 1.0, 1.0)
+    problem, config, x0 = Problem(benchmark2d().smooth, reg, 1.0), SolverConfig(algorithm), \
+        np.array([3.0, 3.0])
+    want = _failing_run(monkeypatch, old_step, old_make_initial_state, config, problem, x0)
+    got = _failing_run(monkeypatch, solvers._step, solvers.make_initial_state,
+                       config, problem, x0)
+    message = "thresholds" if algorithm == "DIRL1" else "weights"
+    assert got == want == (want[0], f"{message} must be nonnegative") and want[0] > 1
+
+
+# -- warnings ----------------------------------------------------------------------
+
+
+def warned(fn, *args):
+    """What a call returned (as state bits) or raised, and the warnings it
+    gave in order, under numpy's default floating-point handling; and what
+    it raised with every warning raised as an error."""
+    out = []
+    for action in ("always", "error"):
+        with np.errstate(all="warn", under="ignore"), \
+                warnings.catch_warnings(record=action == "always") as caught:
+            warnings.simplefilter(action)
+            try:
+                result = _state_bits(fn(*args))
+            except Exception as exc:  # the exception is the outcome
+                result = ("raised", type(exc), str(exc))
+        out.append(result)
+        if caught is not None:
+            out.append([(w.category, str(w.message)) for w in caught])
+    return out
+
+
+def _flat(b):
+    return Problem(SmoothTerm("quadratic", np.zeros((2, 2)), b), Regularizer("LOG", 1.0), 1.0)
+
+
+@pytest.mark.parametrize("x0_2", [0.5, math.inf])
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_initial_objective_warns_as_the_old_kernel(algorithm, x0_2):
+    """t_1 = |x0_1| + eps0 (hypot) overflows. With a finite x0 the objective,
+    which forms t with warnings on, gives the old kernel's one warning and
+    then its error; an infinite x0 is refused before t is formed, with no
+    warning, as the old kernel refused it."""
+    problem, config = _flat(np.zeros(2)), SolverConfig(algorithm, eps0=1.5e308)
+    x0 = np.array([1.5e308, x0_2])
+    want = warned(old_make_initial_state, config, problem, x0)
+    assert len(want[1]) == math.isfinite(x0_2) and want[2][0] == "raised"
+    assert warned(solvers.make_initial_state, config, problem, x0) == want
+
+
+@pytest.mark.parametrize("algorithm, eps_1", [("DIRL1", 0.7e308), ("DIRL2", 1.2e308)])
+def test_step_from_an_unchecked_eps_warns_as_the_old_kernel(algorithm, eps_1):
+    """A state built by hand with eps_2 < 0 (|x_2| + eps_2 > 0, so the
+    weights take it): x_1 grows so that t_1 overflows in the objective. The
+    old kernel refuses eps_new before it forms t, and gives no warning; so
+    does the step, which checks an eps that no objective call accepted."""
+    problem = _flat(np.array([-0.5e308, 0.0]))
+    config = SolverConfig(algorithm, alpha=0.9, beta=1.0, mu=0.99, eps_decay="geometric")
+    state = IterateState(0, np.array([1e308, 1.0]), np.array([eps_1, -0.5]),
+                         np.zeros(2), math.inf, math.inf)
+    want = warned(old_step, algorithm, state, config, problem)
+    assert want == [("raised", ValueError, "eps must be nonnegative and finite"), [],
+                    ("raised", ValueError, "eps must be nonnegative and finite")]
+    assert warned(solvers._step, algorithm, state, config, problem) == want

@@ -65,7 +65,9 @@ DEFAULTED = [
     "regularizers.CustomRegularizer.__init__(second_derivative_at_zero)",
     "selfcheck.check_concavity(regularizers)",
     "selfcheck.check_derivative_consistency(regularizers)",
+    "solvers.dirl1_subproblem(_checked)",
     "solvers.dirl1_weights(_radius)",
+    "solvers.dirl2_subproblem(_checked)",
     "solvers.dirl2_weights(_radius)",
     "solvers.run(record_every)",
     "solvers.run(trace_full)",
