@@ -27,6 +27,13 @@ def _frozen(a):
     return out
 
 
+def _operand(x):
+    """x, refused if it is a scalar, which ``A.dot`` would take as a scale factor."""
+    if np.ndim(x) == 0:
+        raise ValueError("x must be a vector, got a scalar")
+    return x
+
+
 def _l1_radius(x, eps):
     """t = |x| + eps, the radius at which DIRL1 takes r and r'."""
     return np.abs(x) + eps
@@ -95,7 +102,7 @@ class SmoothTerm:
         return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
 
     def value(self, x):
-        return self._value_at(x, self._product(x))
+        return self._value_at(x, self._product(_operand(x)))
 
     def _value_at(self, x, product):
         """f(x), given ``product = self._product(x)``."""
@@ -104,7 +111,7 @@ class SmoothTerm:
         return float((0.5 * product).dot(product)) + self.c
 
     def gradient(self, x):
-        return self._gradient_at(self._product(x))
+        return self._gradient_at(self._product(_operand(x)))
 
     def _gradient_at(self, product):
         """The gradient at the x whose ``self._product(x)`` is ``product``."""

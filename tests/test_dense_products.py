@@ -219,3 +219,13 @@ def test_dot_equals_matmul(case):
         same_bytes_or_zero_sign(A.dot(x), A @ x, n)
         same_bytes_or_zero_sign(A.T.dot(r), A.T @ r, m)
         same_bytes_or_zero_sign(x.dot(v), x @ v, n)
+
+
+@pytest.mark.parametrize("name", ["value", "gradient"])
+@pytest.mark.parametrize("kind", SMOOTH_KINDS)
+def test_a_scalar_x_is_refused(kind, name):
+    # A.dot(2.0) is 2 A, where A @ 2.0 raised: the term refuses a scalar itself.
+    term = SmoothTerm(kind, [[2.0, 1.0], [1.0, 3.0]], [1.0, -1.0])
+    for x in (2.0, np.float64(2.0), np.array(2.0)):
+        with pytest.raises(ValueError, match="x must be a vector, got a scalar"):
+            getattr(term, name)(x)

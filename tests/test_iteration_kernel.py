@@ -408,8 +408,8 @@ def test_custom_penalty_with_a_negative_derivative_fails_where_old_kernel_fails(
     the subproblem refuses that weight at the iteration the old kernel did."""
     reg = CustomRegularizer(lambda t: 0.5 * t * t - 0.05 * t, lambda t: t - 0.05,
                             lambda t: 1.0, 1.0)
-    problem, config, x0 = Problem(benchmark2d().smooth, reg, 1.0), SolverConfig(algorithm), \
-        np.array([3.0, 3.0])
+    problem = Problem(benchmark2d().smooth, reg, 1.0)
+    config, x0 = SolverConfig(algorithm), np.array([3.0, 3.0])
     want = _failing_run(monkeypatch, old_step, old_make_initial_state, config, problem, x0)
     got = _failing_run(monkeypatch, solvers._step, solvers.make_initial_state,
                        config, problem, x0)
