@@ -6,7 +6,7 @@ so results do not depend on the order in which the streams are drawn.
 
 import numpy as np
 
-PURPOSES = {"init": 0, "x0": 1, "perturbation": 2, "selfcheck": 3}
+PURPOSES = {"init": 0, "x0": 1, "perturbation": 2}
 
 
 def make_rng(seed, purpose, index=0):

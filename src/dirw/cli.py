@@ -5,11 +5,10 @@ Subcommands::
     dirw solve     --config cfg.json --problem benchmark2d --x0 3,3 --out run1
     dirw classify  --problem benchmark2d --x0 0,1
     dirw escape    --config experiment.json --out escape.json
-    dirw selfcheck
 
 Exit codes: solve returns 0 on convergence, 2 when the iteration budget is
 exhausted, 1 on errors; classify returns 3 for a non-stationary point;
-escape and selfcheck return 0/1.
+escape returns 0/1.
 """
 
 import argparse
@@ -20,7 +19,6 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import selfcheck as selfcheck_suite
 from ._rng import make_rng
 from .analysis import (
     CLASS_STRICT_SADDLE,
@@ -360,15 +358,6 @@ def cmd_escape(args):
     return 0
 
 
-def cmd_selfcheck(args):
-    results = selfcheck_suite.run_all()
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
-    return 0 if all(r.passed for r in results) else 1
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dirw",
@@ -399,9 +388,6 @@ def build_parser():
     escape.add_argument("--workers", type=int, choices=[1], default=1,
                         help="always 1: starts are solved serially")
     escape.set_defaults(func=cmd_escape)
-
-    check = sub.add_parser("selfcheck", help="run the built-in property suites")
-    check.set_defaults(func=cmd_selfcheck)
     return parser
 
 

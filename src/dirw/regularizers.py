@@ -189,8 +189,11 @@ class CustomRegularizer(_Penalty):
     """User-supplied penalty defined by callbacks, same contract as built-ins.
 
     The callbacks must implement a penalty satisfying the concavity and
-    monotonicity conditions checked by :func:`check_assumption1`; nothing
-    is verified at construction time. Its row ignores ``p``.
+    monotonicity conditions of :func:`check_assumption1`, with r' and r''
+    the derivatives of r and r'. Construction checks only r'(0+) > 0;
+    ``validate_config``, on every solve, screens Assumption 1 and the
+    consistency of r' and r'' with central differences on a positive grid,
+    and warns when either fails. Its row ignores ``p``.
     """
 
     family = "CUSTOM"

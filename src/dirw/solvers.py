@@ -146,7 +146,11 @@ def dirl2_subproblem(center, u, beta, lam, *, _checked=False):
     """
     if not _checked:
         u = _nonnegative(u, "weights must be nonnegative")
-    return np.where(np.isinf(u), 0.0, center / (1.0 + (2.0 * lam / beta) * u))
+    scale = 2.0 * lam / beta
+    if scale > 1.0:  # only then can a finite u overflow the product; center / inf is the limit
+        with np.errstate(over="ignore"):
+            return np.where(np.isinf(u), 0.0, center / (1.0 + scale * u))
+    return np.where(np.isinf(u), 0.0, center / (1.0 + scale * u))
 
 
 def eps_factor(alpha, mu, eps_decay):
@@ -406,6 +410,41 @@ def _lipeomorphism_lhs(config, problem, L, L_r):
     )
 
 
+#: The positive grid on which ``validate_config`` screens a custom penalty.
+_CUSTOM_GRID = np.geomspace(1e-6, 1e3, 64)
+
+
+def _derivative_warnings(reg, t):
+    """One warning per callback, r' or r'', that disagrees with central
+    differences of the function below it (r or r') on the positive grid ``t``.
+
+    The step h = 1e-6 t is relative, so t - h > 0. A consistent callback
+    misses by truncation, h^2 |g'''(t)| / 6, at most about 1e-7 of itself
+    for the built-in families on this grid, and by the rounding of the
+    differenced g: about 1e-10 |g(t)| / t, or up to 2 eps / 2h where g
+    cancels terms of order 1, as 1 - exp(-p t) does. The tolerance,
+    1e-4 (|g(t)| / t + |g'(t)|) + 4 eps / 2h, is far above both and far
+    below a wrong sign or scale.
+    """
+    lo, hi = t - 1e-6 * t, t + 1e-6 * t
+    step = hi - lo  # exact: lo and hi are within a factor of 2
+    points = np.concatenate([lo, hi, t])
+    # A callback that raises here raises in the loop too, so its error is let through.
+    r, d1, d2 = reg.value(points), reg.derivative(points), reg.second_derivative(t)
+    found = []
+    with np.errstate(all="ignore"):  # a NaN or inf fails the test below
+        for name, g, d in (("derivative", r, d1[2 * t.size:]), ("second_derivative", d1, d2)):
+            g_lo, g_hi, g_t = np.split(g, 3)
+            fd = (g_hi - g_lo) / step
+            tol = 1e-4 * (np.abs(g_t) / t + np.abs(d)) + 4.0 * np.finfo(float).eps / step
+            bad = ~(np.abs(d - fd) <= tol)
+            if bad.any():
+                i = bad.argmax()
+                found.append(f"custom penalty: {name}({t[i]:.4g}) = {d[i]:.6g} disagrees "
+                             f"with the central difference {fd[i]:.6g}")
+    return found
+
+
 def validate_config(config, problem):
     """Check the hard parameter bound and collect non-blocking warnings.
 
@@ -416,7 +455,9 @@ def validate_config(config, problem):
     order-m matrix that ``estimate_lipschitz_gradient`` hands to
     ``eigvalsh`` (m = min(A.shape)); the report keeps the unraised L.
     Warnings cover the invertibility-related inequalities that are either
-    violated or cannot be evaluated before solving.
+    violated or cannot be evaluated before solving, and a
+    ``CustomRegularizer`` that fails Assumption 1 or whose r' or r''
+    disagrees with central differences on a positive grid.
     """
     L = problem.estimate_lipschitz_gradient()
     report = ValidationReport(lipschitz_gradient=L)
@@ -464,7 +505,7 @@ def validate_config(config, problem):
         # Nothing else checks a custom penalty's hypotheses; the loop calls r'
         # with no check but t > 0.
         try:
-            holds = check_assumption1(reg, np.geomspace(1e-6, 1e3, 64)).holds
+            holds = check_assumption1(reg, _CUSTOM_GRID).holds
         except (ArithmeticError, ValueError) as exc:
             report.warnings.append(f"custom penalty: Assumption 1 not checkable: {exc}")
         else:
@@ -473,6 +514,7 @@ def validate_config(config, problem):
                     "custom penalty fails Assumption 1 on the grid geomspace(1e-6, 1e3, 64) "
                     "(r(0) = 0, r' >= 0 and nonincreasing, r'' <= 0, r'(0+) > 0)"
                 )
+            report.warnings.extend(_derivative_warnings(reg, _CUSTOM_GRID))
     return report
 
 

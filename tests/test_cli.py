@@ -260,18 +260,6 @@ def test_escape_rejects_bad_config(tmp_path, capsys):
     assert main(["escape", "--config", cfg2]) == 1
 
 
-def test_selfcheck_passes(capsys):
-    assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    passed = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
-    assert passed == [
-        "derivative-consistency", "concavity", "soft-threshold-nonexpansive",
-        "descent-and-convergence", "fixed-point-consistency",
-        "jacobian-finite-difference", "support-identification",
-    ]
-
-
 def test_parse_x0_forms():
     assert np.array_equal(parse_x0("zeros", 3, 0), np.zeros(3))
     assert np.allclose(parse_x0("1,2.5", 2, 0), [1.0, 2.5])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirw.problems import Problem, benchmark2d
 from dirw.regularizers import (
     CustomRegularizer,
     Regularizer,
@@ -10,6 +11,7 @@ from dirw.regularizers import (
     check_assumption4,
     derivative_inverse,
 )
+from dirw.solvers import SolverConfig, validate_config
 
 ALL = [
     Regularizer("EXP", 1.0),
@@ -165,18 +167,42 @@ def test_custom_regularizer_matches_builtin():
     assert check_assumption1(custom, np.logspace(-2, 1, 50)).holds
 
 
-def test_mutated_second_derivative_is_caught():
-    # A sign error in r'' must trip the derivative-consistency suite.
-    from dirw.selfcheck import check_derivative_consistency
+def _derivative_warnings(reg):
+    """validate_config's warnings about the custom penalty's derivative callbacks."""
+    problem = Problem(benchmark2d().smooth, reg, 1.0)
+    return [w for w in validate_config(SolverConfig("DIRL1"), problem).warnings
+            if "disagrees with the central difference" in w]
 
-    broken = CustomRegularizer(
-        value=lambda t: 1.0 - math.exp(-t),
-        derivative=lambda t: math.exp(-t),
-        second_derivative=lambda t: math.exp(-t),  # wrong sign
-        derivative_at_zero=1.0,
-    )
-    result = check_derivative_consistency([broken])
-    assert not result.passed
+
+def test_mutated_second_derivative_is_caught():
+    # r = 1 - exp(-t): a sign error in r'' breaks Assumption 1 as well, but
+    # r'' = -2 exp(-t) has the right sign and the wrong scale, so only the
+    # central-difference screen in validate_config catches it.
+    def mutated(second_derivative):
+        return CustomRegularizer(lambda t: 1.0 - math.exp(-t), lambda t: math.exp(-t),
+                                 second_derivative, 1.0)
+
+    wrong_sign = mutated(lambda t: math.exp(-t))
+    wrong_scale = mutated(lambda t: -2.0 * math.exp(-t))
+    grid = np.geomspace(1e-6, 1e3, 64)
+    assert not check_assumption1(wrong_sign, grid).holds
+    assert check_assumption1(wrong_scale, grid).holds
+    for broken in (wrong_sign, wrong_scale):
+        [warning] = _derivative_warnings(broken)
+        assert warning.startswith("custom penalty: second_derivative(")
+    # r' of the wrong scale, with r'' consistent with it: only r' is named.
+    [warning] = _derivative_warnings(CustomRegularizer(
+        lambda t: 1.0 - math.exp(-t), lambda t: 2.0 * math.exp(-t), lambda t: -2.0 * math.exp(-t),
+        2.0))
+    assert warning.startswith("custom penalty: derivative(")
+    assert _derivative_warnings(mutated(lambda t: -math.exp(-t))) == []
+
+
+@pytest.mark.parametrize("reg", ALL, ids=lambda reg: reg.family)
+def test_builtin_family_as_a_custom_penalty_draws_no_derivative_warning(reg):
+    custom = CustomRegularizer(reg.value, reg.derivative, reg.second_derivative,
+                               reg.derivative_at_zero_plus())
+    assert _derivative_warnings(custom) == []
 
 
 def test_serialization_round_trip():

@@ -299,6 +299,35 @@ def test_dirl2_subproblem():
     assert y0[0] == 0.0
 
 
+def test_dirl2_subproblem_overflow_to_zero_without_a_warning():
+    # With 2 lam/beta = 2 > 1, a finite u near the float maximum overflows
+    # (2 lam/beta) u to inf, and center / inf is y_i = +-0, the limit of a
+    # huge weight, so no warning is due. The bits, zero signs included, are
+    # those of the same formula with the overflow ignored.
+    center = np.array([-3.0, 2.0, 0.5, -0.5])
+    u = np.array([1.5e308, np.finfo(float).max, 1.0, np.inf])
+    y = dirl2_subproblem(center, u, 1.0, 1.0)
+    with np.errstate(over="ignore"):
+        want = np.where(np.isinf(u), 0.0, center / (1.0 + 2.0 * u))
+    assert y.tobytes() == want.tobytes()
+    assert [math.copysign(1.0, v) for v in y[:2]] == [-1.0, 1.0] and y[:2].tolist() == [0.0, 0.0]
+
+
+def test_long_dirl2_solve_near_the_fold_does_not_warn():
+    # benchmark2d with lam = 2.15, just below the fold at lam* = (10/3) sqrt(5/12),
+    # started 1e-4 above the saddle (0, s), where s is the smaller root of
+    # lam = 5 sqrt(x) - 4 x^(3/2). The zero coordinate's u grows like
+    # eps^(-3/2) until (2 lam/beta) u, with 2 lam/beta = 1.075, overflows;
+    # under the suite's filterwarnings = error, a warning would fail the run.
+    lam, s = 2.15, 0.39792591316349973
+    assert abs(5.0 * math.sqrt(s) - 4.0 * s**1.5 - lam) < 1e-12
+    bench = benchmark2d()
+    trace = run(SolverConfig("DIRL2", eps0=1e-12), Problem(bench.smooth, bench.reg, lam),
+                np.array([0.0, s + 1e-4]))
+    assert trace.converged and trace.iterations == 5897
+    assert [v.hex() for v in trace.final_x.tolist()] == ["0x0.0p+0", "0x1.be263aa019b51p-2"]
+
+
 def test_dirl2_subproblem_stationarity(rng):
     # grad_i + beta (y - x)_i + 2 lam u_i y_i = 0 at the model minimizer
     for _ in range(20):

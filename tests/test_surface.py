@@ -63,8 +63,6 @@ DEFAULTED = [
     "problems.Problem.perturbed_value_l2(_parts)",
     "problems.SmoothTerm.__init__(c)",
     "regularizers.CustomRegularizer.__init__(second_derivative_at_zero)",
-    "selfcheck.check_concavity(regularizers)",
-    "selfcheck.check_derivative_consistency(regularizers)",
     "solvers.dirl1_subproblem(_checked)",
     "solvers.dirl1_weights(_radius)",
     "solvers.dirl2_subproblem(_checked)",
@@ -126,9 +124,6 @@ FIELDS = [
     "regularizers.Assumption4Report.ratio_values",
     "regularizers.Assumption4Report.ratio_vanishes",
     "regularizers.Assumption4Report.weight_diverges",
-    "selfcheck.CheckResult.detail",
-    "selfcheck.CheckResult.name",
-    "selfcheck.CheckResult.passed",
     "solvers.IterateState.F_perturbed",
     "solvers.IterateState.eps",
     "solvers.IterateState.k",
