@@ -224,12 +224,9 @@ class SolverConfig:
             raise ValueError(f"solver config: {exc}") from exc
 
 
-_NO_ORIGIN = (None, None, None, None)
-
-
 @dataclass(slots=True)
 class IterateState:
-    """One iterate, with what the objective call that accepted it formed."""
+    """One iterate of the damped iteration."""
 
     k: int
     x: np.ndarray
@@ -240,21 +237,6 @@ class IterateState:
     prox_center_inf: float = math.nan
     #: x - x_prev, the step that produced this state (None for a start).
     step: np.ndarray = None
-    #: The radius that the objective formed and checked at (x, eps):
-    #: |x| + eps (DIRL1) or hypot(x, eps) (DIRL2). None in a state built by
-    #: hand, whose step then forms and checks it in the weights.
-    radius: np.ndarray = None
-    #: A x (A x - b for least squares), formed by the same objective call;
-    #: None in a state built by hand, whose step then forms the gradient from x.
-    product: np.ndarray = None
-    #: (problem, algorithm, x, eps) of the objective call that formed
-    #: ``radius`` and ``product``. A step takes them only when its problem and
-    #: the state's x and eps are these objects, and ``radius`` only when its
-    #: algorithm is this one too; otherwise it forms its own. So a state
-    #: stepped with another problem, or given a new x or eps (by
-    #: ``dataclasses.replace``), is stepped from its x and eps alone. A
-    #: state's arrays must not be changed in place.
-    origin: tuple = None
 
 
 @dataclass(frozen=True)
@@ -309,33 +291,25 @@ def _descent_check(F_old, F_new, k):
         )
 
 
-def _step(algorithm, state, config, problem):
+def _step(algorithm, state, config, problem, carry):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
     Each quantity is formed once and each array checked once per iteration.
-    The objective call that produced ``state`` has checked its x, and has
-    formed and checked (t >= 0 and finite) the radius t = |x| + eps (DIRL1)
-    or hypot(x, eps) (DIRL2) and the product A x (A x - b). The gradient is
-    taken from that product, and the weights take that t and test only
-    t > 0. The subproblem checks the weights only for a penalty other than
-    a built-in ``Regularizer``, whose weights are r' values at checked
-    points: >= 0 and never NaN. The step is checked to be finite, and the
-    objective call here checks the new x and eps with one predicate and
-    hands their t and product to the next step. A state built by hand
-    without them, or one whose ``origin`` does not match this step (another
-    problem, x, eps or, for t, algorithm), has them formed and checked here;
-    an eps that no objective call accepted is checked before the objective
-    call, which takes it to be >= 0 and finite. A step that overflows raises
+    ``carry`` is None or ``run``'s list: the radius t = |x| + eps (DIRL1) or
+    hypot(x, eps) (DIRL2) and the product A x (A x - b) that the objective
+    call accepting ``state`` formed and checked (t >= 0 and finite), or
+    nothing. The gradient comes from that product, the weights take that t
+    and test only t > 0, and the list is refilled with the new objective
+    call's. Without a carry the step forms and checks both from the state's
+    x and eps, and checks the new eps before the objective call, which takes
+    it to be >= 0 and finite. The subproblem checks the weights only for a
+    penalty other than a built-in ``Regularizer`` (r' values at checked
+    points: >= 0, never NaN). A step or F that is not finite raises
     NumericalFailure.
     """
     x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
     smooth, parts, checked = problem.smooth, [], type(reg) is Regularizer
-    of_problem, of_algorithm, of_x, of_eps = state.origin or _NO_ORIGIN
-    product = radius = None
-    if of_problem is problem and of_x is x and of_eps is state.eps:
-        product = state.product
-        if of_algorithm == algorithm:
-            radius = state.radius
+    radius, product = carry or (None, None)
     try:
         grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
         center = x - grad / beta
@@ -355,7 +329,7 @@ def _step(algorithm, state, config, problem):
             raise NumericalFailure(
                 f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
             )
-        if of_eps is not state.eps:  # checked as the objective's fallback checks it
+        if carry is None:  # checked as the objective's fallback checks it
             problem._check_eps(problem.check_vector(x_new), eps_new)
         if algorithm == "DIRL1":
             F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
@@ -367,28 +341,26 @@ def _step(algorithm, state, config, problem):
         problem.check_vector(x)
         raise
     _descent_check(state.F_perturbed, F_new, k)
-    radius, product = parts or (None, None)
+    if carry is not None:
+        carry[:] = parts
     return IterateState(k, x_new, eps_new, y, F_new, step_norm,
-                        float(np.maximum.reduce(np.abs(center))), dx, radius, product,
-                        (problem, algorithm, x_new, eps_new))
+                        float(np.maximum.reduce(np.abs(center))), dx)
 
 
-def dirl1_step(state, config, problem):
+def dirl1_step(state, config, problem, *, _carry=None):
     """One damped weighted-l1 step; asserts descent of F(x, eps).
 
-    The radius and product that ``state`` carries are used only for the
-    problem, x and eps they were formed at (see ``IterateState.origin``).
+    Only ``run`` passes ``_carry``; see ``_step``.
     """
-    return _step("DIRL1", state, config, problem)
+    return _step("DIRL1", state, config, problem, _carry)
 
 
-def dirl2_step(state, config, problem):
+def dirl2_step(state, config, problem, *, _carry=None):
     """One damped weighted-l2 step; asserts descent of F(x, eps).
 
-    The radius and product that ``state`` carries are used only for the
-    problem, x and eps they were formed at (see ``IterateState.origin``).
+    Only ``run`` passes ``_carry``; see ``_step``.
     """
-    return _step("DIRL2", state, config, problem)
+    return _step("DIRL2", state, config, problem, _carry)
 
 
 @dataclass
@@ -518,20 +490,21 @@ def validate_config(config, problem):
     return report
 
 
-def make_initial_state(config, problem, x0):
-    """The k = 0 state of ``config.algorithm``, with its objective's radius and product."""
+def make_initial_state(config, problem, x0, *, _carry=None):
+    """The k = 0 state of ``config.algorithm``.
+
+    Only ``run`` passes ``_carry``, a list that receives the objective's
+    radius and product for the first step; see ``_step``.
+    """
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
     problem.check_vector(x0)  # an objective call with _parts takes x to be finite
-    parts = []
     if config.algorithm == "DIRL1":
-        F0 = problem.perturbed_value_l1(x0, eps, _parts=parts)
+        F0 = problem.perturbed_value_l1(x0, eps, _parts=_carry)
     else:
-        F0 = problem.perturbed_value_l2(x0, eps, _parts=parts)
+        F0 = problem.perturbed_value_l2(x0, eps, _parts=_carry)
     _check_finite(F0, 0)
-    radius, product = parts or (None, None)
-    return IterateState(0, x0, eps, x0.copy(), F0, math.inf, radius=radius, product=product,
-                        origin=(problem, config.algorithm, x0, eps))
+    return IterateState(0, x0, eps, x0.copy(), F0, math.inf)
 
 
 def _record(state, eps_inf):
@@ -551,7 +524,8 @@ def _post_run_diagnostics(config, problem, L, C):
         if reg.lipschitz_at_zero:
             L_r = abs(reg.second_derivative_at_zero_plus())
         elif math.isfinite(C) and C > 0.0:
-            x_low = derivative_inverse(reg, C / problem.lam)
+            # A limit nonzero x_i has lam r'(|x_i|) < beta |center_i| <= beta C.
+            x_low = derivative_inverse(reg, config.beta * C / problem.lam)
             diag["support_lower_bound"] = x_low
             L_r = abs(reg.second_derivative(x_low))
         else:
@@ -589,7 +563,8 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     x0 = problem.check_vector(np.asarray(x0, dtype=float))
     step_fn = dirl1_step if config.algorithm == "DIRL1" else dirl2_step
 
-    state = make_initial_state(config, problem, x0)
+    carry = []  # the radius and product that each objective call hands to the next step
+    state = make_initial_state(config, problem, x0, _carry=carry)
     F0, factor, eps_inf = state.F_perturbed, config.eps_factor, float(state.eps.max())
     records = [_record(state, eps_inf)]
     history = deque([(state.x, state.eps)], maxlen=None if trace_full else TAIL_WINDOW)
@@ -599,7 +574,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     small_steps = 0
 
     while state.k < config.max_iter:
-        state = step_fn(state, config, problem)
+        state = step_fn(state, config, problem, _carry=carry)
         # The step scales eps by factor too; rounding is monotone, so this is eps.max() to the bit.
         eps_inf = factor * eps_inf
         sum_sq_steps += float(np.add.reduce(state.step * state.step))

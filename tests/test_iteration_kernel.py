@@ -4,11 +4,11 @@ each array once.
 ``old_step`` is the one-step kernel as it was written before the objective
 took one predicate and the step formed each quantity once: the reference
 for the bits. It also forms, after the fact and the plain way, the radius
-and product that a state now carries from its objective call to the next
-step, so that every field of every state can be compared. ``run`` with the
-current kernel must give the same records, iterates, limit and diagnostics
-as ``run`` with ``old_step`` in its place, and must fail at the same
-iteration with the same message.
+and product that ``run``'s loop now carries from each objective call to the
+next step, and fills the carry with them, so that the carry can be compared
+too. ``run`` with the current kernel must give the same records, iterates,
+limit and diagnostics as ``run`` with ``old_step`` in its place, and must
+fail at the same iteration with the same message.
 """
 
 import dataclasses
@@ -85,20 +85,19 @@ def old_parts(algorithm, problem, x, eps):
     return radius, product
 
 
-def old_make_initial_state(config, problem, x0):
+def old_make_initial_state(config, problem, x0, *, _carry=None):
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
     F0 = old_perturbed_value(config.algorithm, problem, x0, eps)
     if not math.isfinite(F0):
         raise NumericalFailure(f"perturbed objective is not finite at iteration 0: {F0!r}",
                                iteration=0)
-    radius, product = old_parts(config.algorithm, problem, x0, eps)
-    return IterateState(k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf,
-                        radius=radius, product=product,
-                        origin=(problem, config.algorithm, x0, eps))
+    if _carry is not None:
+        _carry[:] = old_parts(config.algorithm, problem, x0, eps)
+    return IterateState(k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf)
 
 
-def old_step(algorithm, state, config, problem):
+def old_step(algorithm, state, config, problem, carry=None):
     x, k = state.x, state.k + 1
     try:
         grad, y = old_model(algorithm, problem, x, state.eps, config.beta)
@@ -114,7 +113,8 @@ def old_step(algorithm, state, config, problem):
         problem.check_vector(x)
         raise
     old_descent_check(state.F_perturbed, F_new, k)
-    radius, product = old_parts(algorithm, problem, x_new, eps_new)
+    if carry is not None:
+        carry[:] = old_parts(algorithm, problem, x_new, eps_new)
     return IterateState(
         k=k,
         x=x_new,
@@ -124,9 +124,6 @@ def old_step(algorithm, state, config, problem):
         step_norm=step_norm,
         prox_center_inf=float(np.abs(x - grad / config.beta).max()),
         step=x_new - x,  # what the run loop formed as state.x - prev.x
-        radius=radius,
-        product=product,
-        origin=(problem, algorithm, x_new, eps_new),
     )
 
 
@@ -211,12 +208,12 @@ def test_run_matches_old_kernel_on_least_squares(monkeypatch, algorithm, eps_dec
 
 
 def _state_bits(state):
-    bits = {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
+    return {f.name: (v.tobytes() if isinstance(v, np.ndarray) else repr(v))
             for f in dataclasses.fields(state) for v in [getattr(state, f.name)]}
-    if state.origin is not None:
-        problem, algorithm, x, eps = state.origin
-        bits["origin"] = (id(problem), algorithm, x is state.x, eps is state.eps)
-    return bits
+
+
+def _carry_bits(carry):
+    return [v.tobytes() for v in carry]
 
 
 @pytest.mark.parametrize("beta", [4.0, 3.3])
@@ -225,52 +222,50 @@ def _state_bits(state):
 def test_step_matches_old_step(algorithm, eps_decay, beta):
     """Every field of every state, the step that the telescoped bound sums
     and the radius and product carried to the next step too, which no
-    output of run shows. A state built by hand, without the radius and the
-    product, steps to the same bits."""
+    output of run shows. A step without a carry steps to the same bits."""
     config = SolverConfig(algorithm, beta=beta, eps_decay=eps_decay)
     for problem, x0 in [(benchmark2d(), np.array([3.0, 3.0])),
                         (benchmark2d(), np.array([-0.4, 1e-3])),
                         (_least_squares(), np.random.default_rng(6).normal(size=50))]:
-        state = solvers.make_initial_state(config, problem, x0)
+        carry = []
+        state = solvers.make_initial_state(config, problem, x0, _carry=carry)
         assert _state_bits(state) == _state_bits(old_make_initial_state(config, problem, x0))
+        assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, x0, state.eps))
         for _ in range(60):
-            new = solvers._step(algorithm, state, config, problem)
+            bare = solvers._step(algorithm, state, config, problem, None)
+            new = solvers._step(algorithm, state, config, problem, carry)
             assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
-            bare = dataclasses.replace(state, radius=None, product=None)
-            assert _state_bits(solvers._step(algorithm, bare, config, problem)) == _state_bits(new)
+            assert _state_bits(bare) == _state_bits(new)
+            assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
             state = new
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
-def test_step_of_the_other_algorithms_state_forms_its_radius(algorithm):
-    """A DIRL2 step of a DIRL1 state (or the reverse) cannot take the state's
-    radius: it forms its own, as for a state built without one."""
+def test_step_without_a_carry_of_the_other_algorithms_state_matches_old_step(algorithm):
+    """A DIRL2 step of a DIRL1 state (or the reverse), without a carry,
+    forms its own radius."""
     other = "DIRL2" if algorithm == "DIRL1" else "DIRL1"
     problem, config = benchmark2d(), SolverConfig(other)
     state = solvers.make_initial_state(config, problem, np.array([1.3, -2.1]))
-    bare = dataclasses.replace(state, radius=None)
-    new = solvers._step(algorithm, state, config, problem)
-    assert _state_bits(new) == _state_bits(solvers._step(algorithm, bare, config, problem))
+    new = solvers._step(algorithm, state, config, problem, None)
     assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
-def test_step_with_another_problem_or_x_forms_its_own_parts(algorithm):
-    """A state stepped with a problem other than the one that built it, or
-    given a new x or eps, cannot take the radius and product it carries:
-    the step forms them from its own problem, x and eps."""
+def test_step_without_a_carry_with_another_problem_or_x_matches_old_step(algorithm):
+    """A state stepped, without a carry, with a problem other than the one
+    that built it, or given a new x or eps, is stepped from its own
+    problem, x and eps."""
     config = SolverConfig(algorithm)
     built_for = benchmark2d()
     other = Problem(SmoothTerm("least_squares", [[0.2, -0.1], [0.05, 0.3]], [0.1, -0.2]),
                     built_for.reg, built_for.lam)
     state = solvers.make_initial_state(config, built_for, np.array([1.3, -2.1]))
-    bare = dataclasses.replace(state, radius=None, product=None)
-    new = solvers._step(algorithm, state, config, other)
-    assert _state_bits(new) == _state_bits(solvers._step(algorithm, bare, config, other))
+    new = solvers._step(algorithm, state, config, other, None)
     assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, other))
     for moved in (dataclasses.replace(state, x=np.array([0.4, 0.2])),
                   dataclasses.replace(state, eps=2.0 * state.eps)):
-        new = solvers._step(algorithm, moved, config, built_for)
+        new = solvers._step(algorithm, moved, config, built_for, None)
         assert _state_bits(new) == _state_bits(old_step(algorithm, moved, config, built_for))
 
 
@@ -314,8 +309,8 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
     lower = (config.beta / config.alpha - 2.0 / 2.0) * sum_sq  # L = 2
     step = solvers._step
 
-    def flat_step(algorithm, state, config, problem):
-        new = step(algorithm, state, config, problem)
+    def flat_step(algorithm, state, config, problem, carry):
+        new = step(algorithm, state, config, problem, carry)
         new.F_perturbed = state.F_perturbed
         return new
 
@@ -470,4 +465,4 @@ def test_step_from_an_unchecked_eps_warns_as_the_old_kernel(algorithm, eps_1):
     want = warned(old_step, algorithm, state, config, problem)
     assert want == [("raised", ValueError, "eps must be nonnegative and finite"), [],
                     ("raised", ValueError, "eps must be nonnegative and finite")]
-    assert warned(solvers._step, algorithm, state, config, problem) == want
+    assert warned(solvers._step, algorithm, state, config, problem, None) == want

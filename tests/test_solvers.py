@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dirw.analysis import SUPPORT_TOL, support
+from dirw.analysis import CLASS_STRICT_SADDLE, SUPPORT_TOL, classify_stationary_point, support
 from dirw.errors import ConfigValidationError, NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
 from dirw.regularizers import CustomRegularizer, Regularizer
@@ -326,6 +326,49 @@ def test_long_dirl2_solve_near_the_fold_does_not_warn():
                 np.array([0.0, s + 1e-4]))
     assert trace.converged and trace.iterations == 5897
     assert [v.hex() for v in trace.final_x.tolist()] == ["0x0.0p+0", "0x1.be263aa019b51p-2"]
+
+
+def _near_the_fold():
+    """benchmark2d's term at lam = 2.15, and the saddle's x2: the smaller root
+    s of lam = 5 sqrt(x) - 4 x^(3/2), bisected on (0, 5/12), where the right
+    side increases, to the first float at which it reaches lam."""
+    lam, lo, hi = 2.15, 0.0, 5.0 / 12.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if 5.0 * math.sqrt(mid) - 4.0 * mid**1.5 < lam else (lo, mid)
+    assert abs(5.0 * math.sqrt(hi) - 4.0 * hi**1.5 - lam) < 1e-12
+    bench = benchmark2d()
+    return Problem(bench.smooth, bench.reg, lam), hi
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_support_lower_bound_is_below_the_limit_support(algorithm):
+    # A limit nonzero x_i has lam r'(|x_i|) < beta C, so |x_i| exceeds the t
+    # that solves lam r'(t) = beta C. The limit's nonzero here is 0.4357, and
+    # the bound is 0.1017; lam r'(t) = C gave 1.627, above it, and with it an
+    # L_r of 0.12 and a lipeomorphism_lhs below 1.
+    problem, s = _near_the_fold()
+    trace = run(SolverConfig(algorithm, eps0=1e-12), problem, np.array([0.0, s + 1e-4]))
+    nonzero = np.abs(trace.limit_x[trace.limit_x != 0.0])
+    assert trace.converged and nonzero.size == 1
+    diag = trace.diagnostics
+    assert 0.0 < diag["support_lower_bound"] <= nonzero.min()
+    assert diag["support_lower_bound"] == pytest.approx(0.1017, abs=1e-4)
+    assert diag["weight_curvature_bound"] == pytest.approx(7.712, abs=1e-3)
+    assert diag["lipeomorphism_lhs"] == pytest.approx(1.389, abs=1e-3)
+    assert diag["lipeomorphism_ok"] is False
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_run_near_a_saddle_is_not_reported_converged_at_it(algorithm):
+    # Started 1e-8 above the strict saddle (0, s), the step along the
+    # unstable mode stays below tol_step for ten iterations, and the stop
+    # rule fires at the saddle.
+    problem, s = _near_the_fold()
+    trace = run(SolverConfig(algorithm, eps0=1e-12), problem, np.array([0.0, s + 1e-8]))
+    at_saddle = (classify_stationary_point(problem, trace.limit_x).classification
+                 == CLASS_STRICT_SADDLE)
+    assert not (trace.converged and at_saddle)
 
 
 def test_dirl2_subproblem_stationarity(rng):

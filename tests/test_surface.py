@@ -63,10 +63,13 @@ DEFAULTED = [
     "problems.Problem.perturbed_value_l2(_parts)",
     "problems.SmoothTerm.__init__(c)",
     "regularizers.CustomRegularizer.__init__(second_derivative_at_zero)",
+    "solvers.dirl1_step(_carry)",
     "solvers.dirl1_subproblem(_checked)",
     "solvers.dirl1_weights(_radius)",
+    "solvers.dirl2_step(_carry)",
     "solvers.dirl2_subproblem(_checked)",
     "solvers.dirl2_weights(_radius)",
+    "solvers.make_initial_state(_carry)",
     "solvers.run(record_every)",
     "solvers.run(trace_full)",
 ]
@@ -127,10 +130,7 @@ FIELDS = [
     "solvers.IterateState.F_perturbed",
     "solvers.IterateState.eps",
     "solvers.IterateState.k",
-    "solvers.IterateState.origin",
-    "solvers.IterateState.product",
     "solvers.IterateState.prox_center_inf",
-    "solvers.IterateState.radius",
     "solvers.IterateState.step",
     "solvers.IterateState.step_norm",
     "solvers.IterateState.x",
