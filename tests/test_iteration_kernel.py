@@ -241,32 +241,39 @@ def test_step_matches_old_step(algorithm, eps_decay, beta):
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
-def test_step_without_a_carry_of_the_other_algorithms_state_matches_old_step(algorithm):
-    """A DIRL2 step of a DIRL1 state (or the reverse), without a carry,
-    forms its own radius."""
+def test_step_of_the_other_algorithms_state_forms_its_radius(algorithm):
+    """A DIRL2 step of a DIRL1 state (or the reverse), given no carried
+    radius, forms its own, and hands on the radius and product of its new
+    x and eps."""
     other = "DIRL2" if algorithm == "DIRL1" else "DIRL1"
     problem, config = benchmark2d(), SolverConfig(other)
     state = solvers.make_initial_state(config, problem, np.array([1.3, -2.1]))
     new = solvers._step(algorithm, state, config, problem, None)
     assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
+    carry = []
+    assert _state_bits(solvers._step(algorithm, state, config, problem, carry)) == _state_bits(new)
+    assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
-def test_step_without_a_carry_with_another_problem_or_x_matches_old_step(algorithm):
-    """A state stepped, without a carry, with a problem other than the one
-    that built it, or given a new x or eps, is stepped from its own
-    problem, x and eps."""
+def test_step_with_another_problem_or_x_forms_its_own_parts(algorithm):
+    """A state stepped with a problem other than the one that built it, or
+    given a new x or eps, and no carried radius and product, forms them
+    from its own problem, x and eps, and hands on those of the new x and
+    eps."""
     config = SolverConfig(algorithm)
     built_for = benchmark2d()
     other = Problem(SmoothTerm("least_squares", [[0.2, -0.1], [0.05, 0.3]], [0.1, -0.2]),
                     built_for.reg, built_for.lam)
     state = solvers.make_initial_state(config, built_for, np.array([1.3, -2.1]))
-    new = solvers._step(algorithm, state, config, other, None)
-    assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, other))
-    for moved in (dataclasses.replace(state, x=np.array([0.4, 0.2])),
-                  dataclasses.replace(state, eps=2.0 * state.eps)):
-        new = solvers._step(algorithm, moved, config, built_for, None)
-        assert _state_bits(new) == _state_bits(old_step(algorithm, moved, config, built_for))
+    for problem, start in [(other, state),
+                           (built_for, dataclasses.replace(state, x=np.array([0.4, 0.2]))),
+                           (built_for, dataclasses.replace(state, eps=2.0 * state.eps))]:
+        carry = []
+        new = solvers._step(algorithm, start, config, problem, carry)
+        assert _state_bits(new) == _state_bits(old_step(algorithm, start, config, problem))
+        assert _state_bits(solvers._step(algorithm, start, config, problem, None)) == _state_bits(new)
+        assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
