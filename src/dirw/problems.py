@@ -27,6 +27,11 @@ def _frozen(a):
     return out
 
 
+#: The fewest entries of A for which a DIRL1 step may form A x from the support
+#: of y (``SmoothTerm._damped_product``); a smaller term always forms it densely.
+_DAMPED_MIN_SIZE = 2**18
+
+
 def _operand(x):
     """x, refused if it is a scalar, which ``A.dot`` would take as a scale factor."""
     if np.ndim(x) == 0:
@@ -56,7 +61,11 @@ class SmoothTerm:
     ``value`` and ``gradient`` each form the one dense product A x (A x - b
     for least squares). The solver forms it once per iterate, in the
     objective, and takes the next step's gradient from it through
-    ``_gradient_at``.
+    ``_gradient_at``. On a term of at least ``_DAMPED_MIN_SIZE`` entries a
+    step whose y has at most a quarter of its entries nonzero forms the
+    next product from this one and A y instead (``_damped_product``), which
+    reads only y's columns of A. A least-squares term then keeps a
+    C-contiguous copy of A', one more copy of A.
 
     Every product goes through ``ndarray.dot``: at the solver's small n the
     dispatch of the ``@`` gufunc costs more than the product itself. For a
@@ -66,7 +75,7 @@ class SmoothTerm:
     returns as +0.0.
     """
 
-    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz")
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_columns")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -86,6 +95,8 @@ class SmoothTerm:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_lipschitz", None)
+        # None: formed on first use by _damped_product. False: below the gate, never formed.
+        object.__setattr__(self, "_columns", None if A.size >= _DAMPED_MIN_SIZE else False)
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
@@ -100,6 +111,45 @@ class SmoothTerm:
     def _product(self, x):
         """A x for a quadratic term, A x - b for least squares."""
         return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
+
+    def _damped_product(self, product, y, alpha):
+        """``self._product((1-alpha) x + alpha y)`` from ``product =
+        self._product(x)``, or None where the dense product is cheaper.
+
+        It is (1-alpha) A x + alpha A y, each less b for least squares. A y
+        reads only the columns of A in y's support, as contiguous rows of a
+        cache formed on first use: A itself for an exactly symmetric
+        C-ordered quadratic, else a C-contiguous A' (a second copy of A
+        unless A is Fortran-ordered). The reweighted-l1 subproblem
+        identifies the support of its solution, so DIRL1's y is sparse once
+        that support has shrunk. The update runs on a term of at least
+        ``_DAMPED_MIN_SIZE`` entries, decided once per term, and for a y
+        with at most a quarter of its entries nonzero. That is where the
+        update stopped losing to a dense product that fits in cache: at
+        2^17 entries and 25 % support it took up to 7 us longer, at 2^18
+        11 us less (56 us dense), and at 500 x 1000 and 6 % support 26-37 us
+        against 180-210 us (OpenBLAS, one thread; the README has the
+        table). Its rounding error against the dense product at the rounded
+        (1-alpha) x + alpha y is scaled by 1 - alpha at each further step,
+        so it stays near one step's rounding over alpha and does not grow
+        with the step count: tests hold it within 16 eps (|A||x| + |b|).
+        """
+        columns = self._columns
+        if columns is False:
+            return None
+        support = np.flatnonzero(y)
+        if 4 * support.size > y.size:
+            return None
+        if columns is None:
+            A = self.A
+            symmetric = self.kind == "quadratic" and np.array_equal(A, A.T)
+            columns = A if symmetric and A.flags.c_contiguous else np.ascontiguousarray(A.T)
+            columns.setflags(write=False)
+            object.__setattr__(self, "_columns", columns)
+        Ay = y[support].dot(columns[support])
+        if self.kind == "least_squares":
+            Ay -= self.b
+        return (1.0 - alpha) * product + alpha * Ay
 
     def value(self, x):
         return self._value_at(x, self._product(_operand(x)))
@@ -192,11 +242,6 @@ class Problem:
         r = self.reg.value(t)  # a float for scalar t
         return self.lam * float(r.sum() if isinstance(r, np.ndarray) else np.sum(r))
 
-    def objective_value(self, x):
-        """F(x) = f(x) + lambda * sum_i r(|x_i|)."""
-        x = self.check_vector(x)
-        return self.smooth.value(x) + self.penalty_value(np.abs(x))
-
     def perturbed_value_l1(self, x, eps, *, _parts=None):
         """f(x) + lambda * sum_i r(|x_i| + eps_i); equals F(x) at eps = 0.
 
@@ -224,7 +269,10 @@ class Problem:
 
         ``parts``, a list passed by the solver, receives the checked t and
         ``smooth._product(x)`` when the predicate accepted them, so the next
-        step neither forms nor checks either again. It stays empty otherwise.
+        step neither forms nor checks either again. It ends empty otherwise.
+        It may come holding one entry, the product at x that the step formed
+        from the last one (``SmoothTerm._damped_product``); that entry is
+        taken in place of a dense ``smooth._product(x)``.
         The solver passes it only with a finite x and an eps >= 0 and finite,
         for which only an overflow of t can warn: so t is formed with
         warnings on, once, and a t that fails the predicate is not formed
@@ -232,13 +280,15 @@ class Problem:
         once more with warnings after x and eps have passed their checks.
         """
         x = np.asarray(x, dtype=float)
+        product = parts.pop() if parts else None
         t = None  # a t formed with warnings on: the checks below take it as it is
         if (x.shape == (self.dimension,) and type(eps) is np.ndarray
                 and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
             t = _quietly(radius, x, eps) if parts is None else radius(x, eps)
             if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
                 r = self.reg._value_in_domain(t)
-                product = self.smooth._product(x)
+                if product is None:
+                    product = self.smooth._product(x)
                 if parts is not None:
                     parts += (t, product)
                 return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))

@@ -300,7 +300,12 @@ def _step(algorithm, state, config, problem, carry):
     call accepting ``state`` formed and checked (t >= 0 and finite), or
     nothing. The gradient comes from that product, the weights take that t
     and test only t > 0, and the list is refilled with the new objective
-    call's. Without a carry the step forms and checks both from the state's
+    call's. With a product carried, the step asks the smooth term for the
+    product at the new x from that one and y (``SmoothTerm._damped_product``:
+    on a term of at least ``problems._DAMPED_MIN_SIZE`` entries, when at most
+    a quarter of y is nonzero, which is DIRL1's case once its support has
+    shrunk) and hands it to the objective call in place of a dense A x.
+    Without a carry the step forms and checks both from the state's
     x and eps, and checks the new eps before the objective call, which takes
     it to be >= 0 and finite. The subproblem checks the weights only for a
     penalty other than a built-in ``Regularizer`` (r' values at checked
@@ -331,6 +336,10 @@ def _step(algorithm, state, config, problem, carry):
             )
         if carry is None:  # checked as the objective's fallback checks it
             problem._check_eps(problem.check_vector(x_new), eps_new)
+        elif product is not None:  # A x_new from A x and y's support, where that is cheaper
+            updated = smooth._damped_product(product, y, config.alpha)
+            if updated is not None:
+                parts.append(updated)
         if algorithm == "DIRL1":
             F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
         else:

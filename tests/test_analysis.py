@@ -183,7 +183,7 @@ def grid_values(prob, center, radius, points=101):
     vals = np.empty((points, points))
     for i, a in enumerate(g1):
         for j, b in enumerate(g2):
-            vals[i, j] = prob.objective_value(np.array([a, b]))
+            vals[i, j] = prob.perturbed_value_l1(np.array([a, b]), 0.0)
     return vals
 
 
@@ -191,12 +191,12 @@ def test_grid_bruteforce_matches_classification(bench, saddle_x2):
     # Strict local minima are grid-minimal on a small surrounding patch.
     for point in ((0.0, 1.0), (0.0, 0.0)):
         vals = grid_values(bench, point, 1e-2, points=101)
-        center = bench.objective_value(np.array(point))
+        center = bench.perturbed_value_l1(np.array(point), 0.0)
         assert center <= vals.min() + 1e-15
     # The saddle is a maximum along the x2-axis and non-minimal in the plane.
     axis = np.linspace(saddle_x2 - 1e-2, saddle_x2 + 1e-2, 101)
-    axis_vals = [bench.objective_value(np.array([0.0, t])) for t in axis]
-    center = bench.objective_value(np.array([0.0, saddle_x2]))
+    axis_vals = [bench.perturbed_value_l1(np.array([0.0, t]), 0.0) for t in axis]
+    center = bench.perturbed_value_l1(np.array([0.0, saddle_x2]), 0.0)
     assert center >= max(axis_vals) - 1e-12
     plane = grid_values(bench, (0.0, saddle_x2), 1e-2, points=101)
     assert plane.min() < center - 1e-12

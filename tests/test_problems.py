@@ -24,25 +24,33 @@ def least_squares_identity(n, reg=None, lam=1.0):
     return Problem(smooth, reg or Regularizer("EXP", 1.0), lam)
 
 
+def objective(prob, x):
+    """F(x) = f(x) + lambda * sum_i r(|x_i|)."""
+    x = np.asarray(x, dtype=float)
+    return prob.smooth.value(x) + prob.penalty_value(np.abs(x))
+
+
 def test_benchmark_objective_values(bench):
-    assert bench.objective_value([0.0, 1.0]) == pytest.approx(1.0625, abs=1e-15)
-    assert bench.objective_value([0.0, 0.0]) == pytest.approx(25.0 / 16.0, abs=1e-15)
-    assert bench.objective_value([0.0, 1.0]) < bench.objective_value([0.0, 0.0])
+    assert objective(bench, [0.0, 1.0]) == pytest.approx(1.0625, abs=1e-15)
+    assert objective(bench, [0.0, 0.0]) == pytest.approx(25.0 / 16.0, abs=1e-15)
+    assert objective(bench, [0.0, 1.0]) < objective(bench, [0.0, 0.0])
+    for x in ([0.0, 1.0], [0.0, 0.0]):  # F is the perturbed objective at eps = 0
+        assert objective(bench, x) == bench.perturbed_value_l1(np.array(x), np.zeros(2))
 
 
 def test_objective_at_zero_is_smooth_value(bench):
-    assert bench.objective_value(np.zeros(2)) == bench.smooth.value(np.zeros(2))
+    assert objective(bench, np.zeros(2)) == bench.smooth.value(np.zeros(2))
 
 
 def test_least_squares_objective_example():
     prob = least_squares_identity(2)
-    val = prob.objective_value([1.0, 0.0])
+    val = objective(prob, [1.0, 0.0])
     assert val == pytest.approx(0.5 + 1.0 - math.exp(-1.0), abs=1e-12)
 
 
 def test_perturbed_l1(bench):
     x = np.array([0.3, -1.2])
-    assert bench.perturbed_value_l1(x, np.zeros(2)) == bench.objective_value(x)
+    assert bench.perturbed_value_l1(x, np.zeros(2)) == objective(bench, x)
     n = 2
     assert bench.perturbed_value_l1(np.zeros(n), np.ones(n)) == pytest.approx(
         bench.smooth.value(np.zeros(n)) + n, abs=1e-12
@@ -62,7 +70,7 @@ def test_perturbed_l2():
     x, eps = np.array([3.0]), np.array([4.0])
     expected = prob.smooth.value(x) + math.sqrt(5.0)  # r(sqrt(9+16)) = 5**0.5
     assert prob.perturbed_value_l2(x, eps) == pytest.approx(expected, abs=1e-12)
-    assert prob.perturbed_value_l2(x, np.zeros(1)) == prob.objective_value(x)
+    assert prob.perturbed_value_l2(x, np.zeros(1)) == objective(prob, x)
 
 
 def test_perturbed_l2_single_coordinate(bench):
@@ -256,9 +264,9 @@ def test_benchmark_stationary_roots(saddle_x2):
 
 def test_dimension_checks(bench):
     with pytest.raises(ValueError):
-        bench.objective_value([1.0, 2.0, 3.0])
+        bench.perturbed_value_l1([1.0, 2.0, 3.0], 0.0)
     with pytest.raises(ValueError):
-        bench.objective_value([np.inf, 0.0])
+        bench.perturbed_value_l1([np.inf, 0.0], 0.0)
     with pytest.raises(ValueError):
         bench.perturbed_value_l1([1.0, 2.0], [0.1])
 
@@ -291,7 +299,7 @@ def test_load_problem_round_trip(tmp_path, bench):
     assert loaded.reg == bench.reg
     assert loaded.lam == bench.lam
     x = np.array([0.7, -0.2])
-    assert loaded.objective_value(x) == bench.objective_value(x)
+    assert objective(loaded, x) == objective(bench, x)
 
 
 def test_load_problem_rejects_bad_lpn_exponent(tmp_path, bench):
@@ -338,8 +346,8 @@ def test_linear_perturbation():
     pert = prob.perturbed_linearly(v)
     for _ in range(10):
         x = rng.normal(size=3)
-        assert pert.objective_value(x) == pytest.approx(
-            prob.objective_value(x) - v @ x, rel=1e-12, abs=1e-12
+        assert objective(pert, x) == pytest.approx(
+            objective(prob, x) - v @ x, rel=1e-12, abs=1e-12
         )
         assert np.allclose(pert.gradient_smooth(x), prob.gradient_smooth(x) - v)
 
