@@ -64,18 +64,25 @@ class SmoothTerm:
     ``_gradient_at``. On a term of at least ``_DAMPED_MIN_SIZE`` entries a
     step whose y has at most a quarter of its entries nonzero forms the
     next product from this one and A y instead (``_damped_product``), which
-    reads only y's columns of A. A least-squares term then keeps a
-    C-contiguous copy of A', one more copy of A.
+    reads only y's rows of a column cache: for a least-squares term a
+    C-contiguous copy of A', one more copy of A. A least-squares term with
+    n <= 4m (decided once, here) also carries the gradient A'r through the
+    same update, from y's rows of the Gram matrix G = A'A (``hessian``,
+    n^2 entries, formed on first use if the analysis has not formed it)
+    and A'b (formed once). The last support and its gathered rows, at most
+    n/4 x (m + n) entries, stay on the term until the support changes.
 
     Every product goes through ``ndarray.dot``: at the solver's small n the
     dispatch of the ``@`` gufunc costs more than the product itself. For a
     contraction of length 2 or more both run the same BLAS kernels and give
     the same bits. At length 1 (n = 1, or A'r for a least-squares term with
     one row) ``.dot`` keeps the sign of an exactly-zero product, which ``@``
-    returns as +0.0.
+    returns as +0.0; A'b is formed with ``@``, as ``Problem.perturbed_linearly``
+    has always formed it.
     """
 
-    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_columns")
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_columns",
+                 "_carries_gradient", "_gathered", "_atb")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -97,6 +104,11 @@ class SmoothTerm:
         object.__setattr__(self, "_lipschitz", None)
         # None: formed on first use by _damped_product. False: below the gate, never formed.
         object.__setattr__(self, "_columns", None if A.size >= _DAMPED_MIN_SIZE else False)
+        # With n <= 4m, G has at most 4x A's entries and its rows cost no more than A'r.
+        object.__setattr__(self, "_carries_gradient",
+                           kind == "least_squares" and A.shape[1] <= 4 * A.shape[0])
+        object.__setattr__(self, "_gathered", None)  # (support, column rows, G rows or None)
+        object.__setattr__(self, "_atb", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SmoothTerm is immutable")
@@ -112,44 +124,84 @@ class SmoothTerm:
         """A x for a quadratic term, A x - b for least squares."""
         return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
 
-    def _damped_product(self, product, y, alpha):
-        """``self._product((1-alpha) x + alpha y)`` from ``product =
-        self._product(x)``, or None where the dense product is cheaper.
+    def _damped_product(self, product, gradient, y, alpha):
+        """``(self._product(z), g)`` at z = (1-alpha) x + alpha y from
+        ``product = self._product(x)`` and ``gradient``, the gradient at x;
+        or None where the dense product is cheaper. g is the gradient at z
+        for a least-squares term with n <= 4m, else None.
 
-        It is (1-alpha) A x + alpha A y, each less b for least squares. A y
-        reads only the columns of A in y's support, as contiguous rows of a
-        cache formed on first use: A itself for an exactly symmetric
-        C-ordered quadratic, else a C-contiguous A' (a second copy of A
-        unless A is Fortran-ordered). The reweighted-l1 subproblem
-        identifies the support of its solution, so DIRL1's y is sparse once
-        that support has shrunk. The update runs on a term of at least
-        ``_DAMPED_MIN_SIZE`` entries, decided once per term, and for a y
-        with at most a quarter of its entries nonzero. That is where the
-        update stopped losing to a dense product that fits in cache: at
-        2^17 entries and 25 % support it took up to 7 us longer, at 2^18
-        11 us less (56 us dense), and at 500 x 1000 and 6 % support 26-37 us
-        against 180-210 us (OpenBLAS, one thread; the README has the
-        table). Its rounding error against the dense product at the rounded
+        The product is (1-alpha) A x + alpha A y, each less b for least
+        squares, and g is (1-alpha) gradient + alpha (G y - A'b) with
+        G = A'A. A y and G y read only y's support: rows of a column cache
+        formed on first use (A itself for an exactly symmetric C-ordered
+        quadratic, else a C-contiguous A', a second copy of A unless A is
+        Fortran-ordered) and of G (``hessian``). The gathered rows of both
+        are kept with their support and gathered again only when the
+        support changes. The reweighted-l1 subproblem identifies the
+        support of its solution, so DIRL1's y is sparse and its support
+        freezes once it has shrunk. The gradient update costs 2n|S| flops
+        against the 2mn of A'r; n <= 4m keeps G within 4x A's memory. A
+        quadratic term's gradient, product + b, is already cheap.
+
+        The update runs on a term of at least ``_DAMPED_MIN_SIZE`` entries,
+        decided once per term, and for a y with at most a quarter of its
+        entries nonzero. That is where the product update stopped losing to
+        a dense product that fits in cache: at 2^17 entries and 25 % support
+        it took up to 7 us longer, at 2^18 11 us less (56 us dense), and at
+        500 x 1000 and 6 % support 26-37 us against 180-210 us (OpenBLAS,
+        one thread; the README has the table). The rounding error of each
+        carried quantity against the dense one at the rounded
         (1-alpha) x + alpha y is scaled by 1 - alpha at each further step,
         so it stays near one step's rounding over alpha and does not grow
-        with the step count: tests hold it within 16 eps (|A||x| + |b|).
+        with the step count: tests hold the product within 16 eps
+        (|A||x| + |b|) and the gradient within 4 eps |A'|(|A||x| + |b|).
         """
-        columns = self._columns
-        if columns is False:
+        if self._columns is False:
             return None
         support = np.flatnonzero(y)
         if 4 * support.size > y.size:
             return None
+        gathered = self._gathered
+        if gathered is None or not np.array_equal(support, gathered[0]):
+            gathered = self._gather(support)
+        _, columns, gram = gathered
+        ys = y[support]
+        Ay = ys.dot(columns)
+        if self.kind == "quadratic":
+            return (1.0 - alpha) * product + alpha * Ay, None
+        Ay -= self.b
+        product = (1.0 - alpha) * product + alpha * Ay
+        if gram is None:
+            return product, None
+        Gy = ys.dot(gram)
+        Gy -= self._transposed_b()
+        return product, (1.0 - alpha) * gradient + alpha * Gy
+
+    def _gather(self, support):
+        """Keep and return ``support`` with its rows of the column cache and,
+        where the gradient is carried, of G."""
+        columns = self._columns
         if columns is None:
             A = self.A
             symmetric = self.kind == "quadratic" and np.array_equal(A, A.T)
             columns = A if symmetric and A.flags.c_contiguous else np.ascontiguousarray(A.T)
             columns.setflags(write=False)
             object.__setattr__(self, "_columns", columns)
-        Ay = y[support].dot(columns[support])
-        if self.kind == "least_squares":
-            Ay -= self.b
-        return (1.0 - alpha) * product + alpha * Ay
+        gram = None
+        if self._carries_gradient:
+            # The cached G once formed: hessian() is called only to form it, once per term.
+            gram = (self.hessian() if self._gram is None else self._gram)[support]
+        gathered = (support, columns[support], gram)
+        object.__setattr__(self, "_gathered", gathered)
+        return gathered
+
+    def _transposed_b(self):
+        """A'b of a least-squares term, read-only, formed on first use."""
+        if self._atb is None:
+            atb = self.A.T @ self.b
+            atb.setflags(write=False)
+            object.__setattr__(self, "_atb", atb)
+        return self._atb
 
     def value(self, x):
         return self._value_at(x, self._product(_operand(x)))
@@ -329,7 +381,7 @@ class Problem:
             smooth = SmoothTerm("quadratic", s.A, s.b - v, s.c)
         else:
             smooth = SmoothTerm(
-                "quadratic", s.hessian(), -(s.A.T @ s.b) - v, 0.5 * float(s.b @ s.b) + s.c
+                "quadratic", s.hessian(), -s._transposed_b() - v, 0.5 * float(s.b @ s.b) + s.c
             )
         return Problem(smooth, self.reg, self.lam)
 

@@ -297,14 +297,25 @@ def _step(algorithm, state, config, problem, carry):
     Each quantity is formed once and each array checked once per iteration.
     ``carry`` is None or ``run``'s list: the radius t = |x| + eps (DIRL1) or
     hypot(x, eps) (DIRL2) and the product A x (A x - b) that the objective
-    call accepting ``state`` formed and checked (t >= 0 and finite), or
-    nothing. The gradient comes from that product, the weights take that t
-    and test only t > 0, and the list is refilled with the new objective
-    call's. With a product carried, the step asks the smooth term for the
-    product at the new x from that one and y (``SmoothTerm._damped_product``:
-    on a term of at least ``problems._DAMPED_MIN_SIZE`` entries, when at most
-    a quarter of y is nonzero, which is DIRL1's case once its support has
-    shrunk) and hands it to the objective call in place of a dense A x.
+    call accepting ``state`` formed and checked (t >= 0 and finite), and
+    possibly the gradient at x that the last step carried; or nothing. The
+    gradient comes from the carried one, else from that product; the
+    weights take that t and test only t > 0, and the list is refilled with
+    the new objective call's. With a product carried, the step asks the
+    smooth term for the product at the new x from that one and y
+    (``SmoothTerm._damped_product``: on a term of at least
+    ``problems._DAMPED_MIN_SIZE`` entries, when at most a quarter of y is
+    nonzero, which is DIRL1's case once its support has shrunk) and hands
+    it to the objective call in place of a dense A x. For a least-squares
+    term with n <= 4m the same call returns the gradient at the new x,
+    (1-alpha) grad + alpha (G y - A'b) from y's rows of G = A'A, at 2n|S|
+    flops in place of the 2mn of A'r; it joins the carry only when the
+    objective took the product with it. An objective call that falls back
+    empties the carry, and a dense step carries no gradient. The term keeps
+    y's gathered rows, at most n/4 x (m + n) entries, until the support
+    changes, and G holds n^2. Tests hold the carried product within
+    16 eps (|A||x| + |b|) of the dense one and the gradient within
+    4 eps |A'|(|A||x| + |b|) (measured: 4.9 and 0.69).
     Without a carry the step forms and checks both from the state's
     x and eps, and checks the new eps before the objective call, which takes
     it to be >= 0 and finite. The subproblem checks the weights only for a
@@ -314,9 +325,11 @@ def _step(algorithm, state, config, problem, carry):
     """
     x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
     smooth, parts, checked = problem.smooth, [], type(reg) is Regularizer
-    radius, product = carry or (None, None)
+    radius, product, grad = (*(carry or ()), None, None, None)[:3]
+    new_grad = None
     try:
-        grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
+        if grad is None:
+            grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
         center = x - grad / beta
         if algorithm == "DIRL1":
             w = dirl1_weights(x, state.eps, reg, _radius=radius)
@@ -337,9 +350,10 @@ def _step(algorithm, state, config, problem, carry):
         if carry is None:  # checked as the objective's fallback checks it
             problem._check_eps(problem.check_vector(x_new), eps_new)
         elif product is not None:  # A x_new from A x and y's support, where that is cheaper
-            updated = smooth._damped_product(product, y, config.alpha)
+            updated = smooth._damped_product(product, grad, y, config.alpha)
             if updated is not None:
-                parts.append(updated)
+                parts.append(updated[0])
+                new_grad = updated[1]
         if algorithm == "DIRL1":
             F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
         else:
@@ -351,6 +365,8 @@ def _step(algorithm, state, config, problem, carry):
         raise
     _descent_check(state.F_perturbed, F_new, k)
     if carry is not None:
+        if parts and new_grad is not None:  # the objective took the product that goes with it
+            parts.append(new_grad)
         carry[:] = parts
     return IterateState(k, x_new, eps_new, y, F_new, step_norm,
                         float(np.maximum.reduce(np.abs(center))), dx)

@@ -1,16 +1,21 @@
 """A DIRL1 step on a large term forms the next A x from the last one and the
-support of y, and that stays as close to the dense product as one step's
-rounding.
+support of y, and on a least-squares term with n <= 4m the next gradient
+too; both stay as close to the dense products as one step's rounding.
 
 ``SmoothTerm._damped_product`` gives A x_new = (1-alpha) A x + alpha A y,
-less b for least squares, reading only y's columns of A. Setting
+less b for least squares, reading only y's columns of A, and the gradient
+(1-alpha) g + alpha (G y - A'b) from y's rows of G = A'A. The rows gathered
+for one support are kept until the support changes. Setting
 ``problems._DAMPED_MIN_SIZE`` to inf before a term is built keeps that term
-on the dense ``A.dot(x)`` path, which is the reference here.
+on the dense ``A.dot(x)`` and ``A.T.dot(r)`` path, which is the reference
+here.
 
 The bounds were measured on the two instances below and on four more seeds
 of each, under OpenBLAS with one thread and with two: the carried product
-stayed within 4.9 eps (|A||x| + |b|) of ``A.dot(x) - b``, the limits within
-1.4e-15 (|x|inf about 2) and every F_perturbed within 1.3e-15 relative.
+stayed within 4.9 eps (|A||x| + |b|) of ``A.dot(x) - b``, the carried
+gradient within 0.69 eps |A'|(|A||x| + |b|) of ``A.T.dot(A.dot(x) - b)``,
+the limits within 2.5e-15 (|x|inf about 2) and every F_perturbed within
+3.9e-15 relative, with the dense path's iteration count and support strings.
 """
 
 import copy
@@ -29,6 +34,8 @@ EPS = np.finfo(float).eps
 
 #: The carried product against the dense one, in units of eps (|A||x| + |b|).
 PRODUCT_BOUND = 16.0
+#: The carried gradient against the dense one, in units of eps |A'|(|A||x| + |b|).
+GRADIENT_BOUND = 4.0
 #: The limits against the dense path's, absolute (|x|inf is about 2).
 LIMIT_BOUND = 1e-14
 #: Each record's F_perturbed against the dense path's, relative.
@@ -73,13 +80,14 @@ def dense(monkeypatch, make):
 
 def checked_run(monkeypatch, config, problem):
     """``run``, asserting after every step that the carried product is within
-    PRODUCT_BOUND of the dense one; returns the trace and the number of
-    steps that took the update."""
+    PRODUCT_BOUND of the dense one and a carried gradient within
+    GRADIENT_BOUND; returns the trace, the number of steps that took the
+    update and the number that carried a gradient."""
     step, update = solvers._step, SmoothTerm._damped_product
-    updates = []
+    updates, gradients = [], []
 
-    def counted(term, product, y, alpha):
-        out = update(term, product, y, alpha)
+    def counted(term, product, gradient, y, alpha):
+        out = update(term, product, gradient, y, alpha)
         updates.append(out is not None)
         return out
 
@@ -89,15 +97,22 @@ def checked_run(monkeypatch, config, problem):
         scale = np.abs(s.A).dot(np.abs(new.x))
         if s.kind == "least_squares":
             scale += np.abs(s.b)
-        error = np.abs(carry[1] - s._product(new.x))
+        product = s._product(new.x)
+        error = np.abs(carry[1] - product)
         assert (error <= PRODUCT_BOUND * EPS * scale).all(), (new.k, (error / (EPS * scale)).max())
+        gradients.append(len(carry) == 3)
+        if len(carry) == 3:
+            scale = np.abs(s.A).T.dot(scale)
+            error = np.abs(carry[2] - s.A.T.dot(product))
+            assert (error <= GRADIENT_BOUND * EPS * scale).all(), (
+                new.k, (error / (EPS * scale)).max())
         return new
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "_step", checked)
         m.setattr(SmoothTerm, "_damped_product", counted)
         trace = run(config, problem, np.zeros(problem.dimension))
-    return trace, sum(updates)
+    return trace, sum(updates), sum(gradients)
 
 
 def bits(trace):
@@ -113,10 +128,12 @@ def test_dirl1_update_stays_within_rounding_of_the_dense_path(kind, monkeypatch)
     reference = dense(monkeypatch, INSTANCES[kind])
     problem = INSTANCES[kind]()
     want = run(config, reference, np.zeros(reference.dimension))
-    got, updates = checked_run(monkeypatch, config, problem)
+    got, updates, gradients = checked_run(monkeypatch, config, problem)
 
     assert reference.smooth._columns is False  # the dense path never formed the cache
     assert updates >= got.iterations // 2  # the update ran on most steps
+    # A least-squares term with n = 4m carries the gradient with every product update.
+    assert gradients == (updates if kind == "least_squares" else 0)
     assert (got.iterations, got.converged) == (want.iterations, True)
     assert [r.support_bits for r in got.records] == [r.support_bits for r in want.records]
     assert (analysis.classify_stationary_point(problem, got.limit_x).classification
@@ -136,6 +153,7 @@ def test_dirl2_keeps_the_dense_bits(monkeypatch):
     assert bits(run(config, problem, np.zeros(1024))) == bits(
         run(config, reference, np.zeros(1024)))
     assert problem.smooth._columns is None  # above the gate, but never formed
+    assert problem.smooth._gram is None
 
 
 def test_term_below_the_gate_never_forms_the_cache():
@@ -148,7 +166,9 @@ def test_term_below_the_gate_never_forms_the_cache():
     assert problem.smooth._columns is False
     y = np.zeros(50)
     y[0] = 1.0
-    assert problem.smooth._damped_product(problem.smooth._product(y), y, 0.2) is None
+    term = problem.smooth
+    assert term._damped_product(term._product(y), term.gradient(y), y, 0.2) is None
+    assert term._gram is None
 
 
 @pytest.mark.parametrize("copier", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
@@ -157,9 +177,12 @@ def test_copies_are_rebuilt_without_the_cache(copier):
     config = SolverConfig("DIRL1", max_iter=300)
     problem = least_squares()
     want = bits(run(config, problem, np.zeros(1024)))
-    assert isinstance(problem.smooth._columns, np.ndarray)  # the update ran
+    term = problem.smooth
+    assert isinstance(term._columns, np.ndarray)  # the update ran
+    assert term._gathered is not None and term._atb is not None
     twin = copier(problem)
     assert twin.smooth._columns is None
+    assert all(v is None for v in (twin.smooth._gathered, twin.smooth._atb, twin.smooth._gram))
     assert bits(run(config, twin, np.zeros(1024))) == want
 
 
@@ -180,7 +203,7 @@ def test_cache_reads_columns_of_a():
                                                   gen.normal(size=n))}
     for name, term in cases.items():
         z = 0.8 * x + 0.2 * y
-        got = term._damped_product(term._product(x), y, 0.2)
+        got, _ = term._damped_product(term._product(x), term.gradient(x), y, 0.2)
         scale = np.abs(term.A).dot(np.abs(z)) + np.abs(term.b)
         assert (np.abs(got - term._product(z)) <= PRODUCT_BOUND * EPS * scale).all(), name
         assert term._columns.flags.c_contiguous, name
@@ -189,3 +212,42 @@ def test_cache_reads_columns_of_a():
     assert not np.shares_memory(cases["nearly symmetric"]._columns, cases["nearly symmetric"].A)
     assert np.shares_memory(cases["least squares, F order"]._columns,
                             cases["least squares, F order"].A)  # A' is C-ordered already
+
+
+def test_wide_term_never_forms_the_gram_matrix(monkeypatch):
+    # n = 16 m: G would hold 16x A's entries, so the product is updated and
+    # the gradient stays A'r.
+    gen = np.random.default_rng(5)
+    m, n = 128, 2048
+    A = gen.normal(0.0, 1.0 / np.sqrt(m), (m, n))
+    b = A[:, :8].sum(axis=1) + 0.01 * gen.normal(size=m)
+    problem = Problem(SmoothTerm("least_squares", A, b), Regularizer("LPN", 0.5), 0.05)
+    trace, updates, gradients = checked_run(monkeypatch, SolverConfig("DIRL1", max_iter=300),
+                                            problem)
+    assert updates >= trace.iterations // 2 and gradients == 0
+    term = problem.smooth
+    assert isinstance(term._columns, np.ndarray)
+    assert all(v is None for v in (term._gram, term._gathered[2], term._atb))
+
+
+def test_gathered_rows_follow_the_support():
+    """Supports S1, S2, S1 in turn give the bits of a term that has gathered
+    nothing, so a kept gather never serves another support's rows."""
+    problem = least_squares()
+    gen = np.random.default_rng(3)
+    n = problem.dimension
+    x = gen.normal(size=n)
+    ys = []
+    for size in (40, 60):
+        y = np.zeros(n)
+        y[gen.choice(n, size, replace=False)] = gen.normal(size=size)
+        ys.append(y)
+    ys.append(0.5 * ys[0])  # S1 again, other values
+    term = problem.smooth
+    product, gradient = term._product(x), term.gradient(x)
+    for y in ys:
+        fresh = least_squares().smooth
+        want = fresh._damped_product(product, gradient, y, 0.2)
+        got = term._damped_product(product, gradient, y, 0.2)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert np.array_equal(term._gathered[0], np.flatnonzero(y))

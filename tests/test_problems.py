@@ -352,6 +352,24 @@ def test_linear_perturbation():
         assert np.allclose(pert.gradient_smooth(x), prob.gradient_smooth(x) - v)
 
 
+@pytest.mark.parametrize("A, b", [([[0.0]], [-1.0]), ([[0.0, 2.0, -1.0]], [-3.0]),
+                                  (np.arange(12.0).reshape(4, 3) - 5.0, [1.0, -2.0, 0.5, 3.0])],
+                         ids=["1x1", "1x3", "4x3"])
+def test_linear_perturbation_takes_the_terms_a_t_b(A, b):
+    # One copy of A'b, formed with @ as before: at m = n = 1 an exact zero
+    # keeps @'s +0.0 (.dot would give -0.0 here, and -(A'b) - 0 is then +0.0).
+    A, b = np.array(A), np.array(b)
+    smooth = SmoothTerm("least_squares", A, b)
+    prob = Problem(smooth, Regularizer("LPN", 0.5), 0.5)
+    v = np.zeros(A.shape[1])
+    pert = prob.perturbed_linearly(v)
+    atb = smooth._atb
+    assert not atb.flags.writeable
+    assert pert.smooth.b.tobytes() == (-(A.T @ b) - v).tobytes()
+    prob.perturbed_linearly(v + 1.0)
+    assert smooth._atb is atb
+
+
 def test_least_squares_constant_is_part_of_f():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(4, 3))
