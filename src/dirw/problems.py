@@ -62,15 +62,15 @@ class SmoothTerm:
     for least squares). The solver forms it once per iterate, in the
     objective, and takes the next step's gradient from it through
     ``_gradient_at``. On a term of at least ``_DAMPED_MIN_SIZE`` entries a
-    step whose y has at most a quarter of its entries nonzero forms the
-    next product from this one and A y instead (``_damped_product``), which
-    reads only y's rows of a column cache: for a least-squares term a
-    C-contiguous copy of A', one more copy of A. A least-squares term with
-    n <= 4m (decided once, here) also carries the gradient A'r through the
-    same update, from y's rows of the Gram matrix G = A'A (``hessian``,
-    n^2 entries, formed on first use if the analysis has not formed it)
-    and A'b (formed once). The last support and its gathered rows, at most
-    n/4 x (m + n) entries, stay on the term until the support changes.
+    step whose y is sparse forms the next product from this one and A y
+    instead (``_damped_product``), which reads only y's rows of a column
+    cache: for a least-squares term a C-contiguous copy of A', one more
+    copy of A. A least-squares term with n <= 4m (decided once, here) also
+    carries the gradient A'r through the same update, from y's rows of the
+    Gram matrix G = A'A (``hessian``, n^2 entries, formed on first use if
+    the analysis has not formed it) and A'b (formed once). The term keeps
+    only these per-term caches; the rows of y's support that the update
+    reads are held by the caller, ``solvers.run``, for one run.
 
     Every product goes through ``ndarray.dot``: at the solver's small n the
     dispatch of the ``@`` gufunc costs more than the product itself. For a
@@ -82,7 +82,7 @@ class SmoothTerm:
     """
 
     __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_columns",
-                 "_carries_gradient", "_gathered", "_atb")
+                 "_carries_gradient", "_atb")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -107,7 +107,6 @@ class SmoothTerm:
         # With n <= 4m, G has at most 4x A's entries and its rows cost no more than A'r.
         object.__setattr__(self, "_carries_gradient",
                            kind == "least_squares" and A.shape[1] <= 4 * A.shape[0])
-        object.__setattr__(self, "_gathered", None)  # (support, column rows, G rows or None)
         object.__setattr__(self, "_atb", None)
 
     def __setattr__(self, name, value):
@@ -124,7 +123,7 @@ class SmoothTerm:
         """A x for a quadratic term, A x - b for least squares."""
         return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
 
-    def _damped_product(self, product, gradient, y, alpha):
+    def _damped_product(self, product, gradient, y, alpha, block):
         """``(self._product(z), g)`` at z = (1-alpha) x + alpha y from
         ``product = self._product(x)`` and ``gradient``, the gradient at x;
         or None where the dense product is cheaper. g is the gradient at z
@@ -132,54 +131,72 @@ class SmoothTerm:
 
         The product is (1-alpha) A x + alpha A y, each less b for least
         squares, and g is (1-alpha) gradient + alpha (G y - A'b) with
-        G = A'A. A y and G y read only y's support: rows of a column cache
-        formed on first use (A itself for an exactly symmetric C-ordered
-        quadratic, else a C-contiguous A', a second copy of A unless A is
-        Fortran-ordered) and of G (``hessian``). The gathered rows of both
-        are kept with their support and gathered again only when the
-        support changes. The reweighted-l1 subproblem identifies the
-        support of its solution, so DIRL1's y is sparse and its support
-        freezes once it has shrunk. The gradient update costs 2n|S| flops
-        against the 2mn of A'r; n <= 4m keeps G within 4x A's memory. A
-        quadratic term's gradient, product + b, is already cheap.
+        G = A'A. A y and G y read only y's support, through ``block``: a
+        list that the caller keeps from step to step, empty or
+        ``[idx, rows]``, where row i of the C-contiguous ``rows`` is row
+        ``idx[i]`` of the column cache (A itself for an exactly symmetric
+        C-ordered quadratic, else a C-contiguous A', formed on first use),
+        followed by row ``idx[i]`` of G (``hessian``) where the gradient is
+        carried. One ``y[idx].dot(rows)`` gives A y and G y together.
 
-        The update runs on a term of at least ``_DAMPED_MIN_SIZE`` entries,
-        decided once per term, and for a y with at most a quarter of its
-        entries nonzero. That is where the product update stopped losing to
-        a dense product that fits in cache: at 2^17 entries and 25 % support
-        it took up to 7 us longer, at 2^18 11 us less (56 us dense), and at
-        500 x 1000 and 6 % support 26-37 us against 180-210 us (OpenBLAS,
-        one thread; the README has the table). The rounding error of each
-        carried quantity against the dense one at the rounded
-        (1-alpha) x + alpha y is scaled by 1 - alpha at each further step,
-        so it stays near one step's rounding over alpha and does not grow
-        with the step count: tests hold the product within 16 eps
-        (|A||x| + |b|) and the gradient within 4 eps |A'|(|A||x| + |b|).
+        The reweighted-l1 subproblem identifies the support of its
+        solution, so DIRL1's y is sparse and its support only shrinks once
+        it is small. While the support lies inside ``idx``, each row whose
+        entry of y is zero is dropped in place: its slot takes a surviving
+        row from the block's tail and the block is truncated, which copies
+        only the dropped rows. An index outside ``idx`` gathers the block
+        again from the caches, in the order of the support. The rows'
+        order is the caller's drop history, so a run's bits depend only on
+        that run.
+
+        A term below ``_DAMPED_MIN_SIZE`` entries (decided once per term)
+        returns None before it reads ``block``. Above it, a least-squares
+        term that carries the gradient takes the update for |S| <= m: G's
+        rows then cost 2n|S| <= 2mn, no more than A'r, and n <= 4m keeps G
+        within 4x A's memory. Every other term takes it for 4|S| <= n
+        (OpenBLAS, one thread; the README has the table). A quadratic
+        term's gradient, product + b, is already cheap. The
+        rounding error of each carried quantity against the dense one at
+        the rounded (1-alpha) x + alpha y is scaled by 1 - alpha at each
+        further step, so it stays near one step's rounding over alpha and
+        does not grow with the step count: tests hold the product within
+        16 eps (|A||x| + |b|) and the gradient within 4 eps
+        |A'|(|A||x| + |b|).
         """
         if self._columns is False:
             return None
-        support = np.flatnonzero(y)
-        if 4 * support.size > y.size:
+        m, count = self.A.shape[0], np.count_nonzero(y)
+        if count > (m if self._carries_gradient else y.size // 4):
             return None
-        gathered = self._gathered
-        if gathered is None or not np.array_equal(support, gathered[0]):
-            gathered = self._gather(support)
-        _, columns, gram = gathered
-        ys = y[support]
-        Ay = ys.dot(columns)
+        if block:
+            idx, rows = block
+            ys = y[idx]
+        if not block or np.count_nonzero(ys) != count:  # an index outside the block
+            idx = np.flatnonzero(y)
+            rows = self._support_rows(idx)
+            ys = y[idx]
+        elif count < idx.size:  # drop the rows whose entry of y is zero
+            holes = np.flatnonzero(ys[:count] == 0.0)
+            tail = np.flatnonzero(ys[count:]) + count
+            idx[holes] = idx[tail]
+            rows[holes] = rows[tail]
+            ys[holes] = ys[tail]
+            idx, rows, ys = idx[:count], rows[:count], ys[:count]
+        block[:] = (idx, rows)
+        Ay = ys.dot(rows)
         if self.kind == "quadratic":
             return (1.0 - alpha) * product + alpha * Ay, None
+        Ay, Gy = Ay[:m], Ay[m:]
         Ay -= self.b
         product = (1.0 - alpha) * product + alpha * Ay
-        if gram is None:
+        if not self._carries_gradient:
             return product, None
-        Gy = ys.dot(gram)
         Gy -= self._transposed_b()
         return product, (1.0 - alpha) * gradient + alpha * Gy
 
-    def _gather(self, support):
-        """Keep and return ``support`` with its rows of the column cache and,
-        where the gradient is carried, of G."""
+    def _support_rows(self, support):
+        """A fresh C-contiguous array of ``support``'s rows of the column
+        cache, followed by its rows of G where the gradient is carried."""
         columns = self._columns
         if columns is None:
             A = self.A
@@ -187,13 +204,16 @@ class SmoothTerm:
             columns = A if symmetric and A.flags.c_contiguous else np.ascontiguousarray(A.T)
             columns.setflags(write=False)
             object.__setattr__(self, "_columns", columns)
-        gram = None
-        if self._carries_gradient:
-            # The cached G once formed: hessian() is called only to form it, once per term.
-            gram = (self.hessian() if self._gram is None else self._gram)[support]
-        gathered = (support, columns[support], gram)
-        object.__setattr__(self, "_gathered", gathered)
-        return gathered
+        if not self._carries_gradient:
+            return columns[support]
+        # The cached G once formed: hessian() is called only to form it, once per term.
+        gram = self.hessian() if self._gram is None else self._gram
+        m = self.A.shape[0]
+        # Two slice copies: np.concatenate(axis=1) took 5x as long at 498 x 1500.
+        rows = np.empty((support.size, m + gram.shape[1]))
+        rows[:, :m] = columns[support]
+        rows[:, m:] = gram[support]
+        return rows
 
     def _transposed_b(self):
         """A'b of a least-squares term, read-only, formed on first use."""

@@ -291,6 +291,19 @@ def _descent_check(F_old, F_new, k):
         )
 
 
+class _Carry(list):
+    """``run``'s carry: as a list, what each objective call hands to the next
+    step (see ``_step``); as ``block``, the rows of y's support that
+    ``SmoothTerm._damped_product`` reads and drops in place, which outlive
+    the list's entries and are freed with the carry when ``run`` returns."""
+
+    __slots__ = ("block",)
+
+    def __init__(self):
+        super().__init__()
+        self.block = []
+
+
 def _step(algorithm, state, config, problem, carry):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
@@ -305,17 +318,20 @@ def _step(algorithm, state, config, problem, carry):
     smooth term for the product at the new x from that one and y
     (``SmoothTerm._damped_product``: on a term of at least
     ``problems._DAMPED_MIN_SIZE`` entries, when at most a quarter of y is
-    nonzero, which is DIRL1's case once its support has shrunk) and hands
-    it to the objective call in place of a dense A x. For a least-squares
-    term with n <= 4m the same call returns the gradient at the new x,
-    (1-alpha) grad + alpha (G y - A'b) from y's rows of G = A'A, at 2n|S|
-    flops in place of the 2mn of A'r; it joins the carry only when the
-    objective took the product with it. An objective call that falls back
-    empties the carry, and a dense step carries no gradient. The term keeps
-    y's gathered rows, at most n/4 x (m + n) entries, until the support
-    changes, and G holds n^2. Tests hold the carried product within
-    16 eps (|A||x| + |b|) of the dense one and the gradient within
-    4 eps |A'|(|A||x| + |b|) (measured: 4.9 and 0.69).
+    nonzero, or at most m entries for a least-squares term with n <= 4m,
+    which is DIRL1's case once its support has shrunk) and hands it to the
+    objective call in place of a dense A x. For that least-squares term the
+    same call returns the gradient at the new x, (1-alpha) grad +
+    alpha (G y - A'b) from y's rows of G = A'A, at 2n|S| flops in place of
+    the 2mn of A'r; it joins the carry only when the objective took the
+    product with it. An objective call that falls back empties the list,
+    and a dense step carries no gradient. ``run``'s carry also holds, as
+    ``block``, the rows of y's support that the update reads: gathered
+    once, dropped in place as the support shrinks, at most m x (m + n)
+    entries, and freed when ``run`` returns; G holds n^2. A plain list
+    carries no block, so each of its steps gathers afresh. Tests hold the
+    carried product within 16 eps (|A||x| + |b|) of the dense one and the
+    gradient within 4 eps |A'|(|A||x| + |b|).
     Without a carry the step forms and checks both from the state's
     x and eps, and checks the new eps before the objective call, which takes
     it to be >= 0 and finite. The subproblem checks the weights only for a
@@ -350,7 +366,8 @@ def _step(algorithm, state, config, problem, carry):
         if carry is None:  # checked as the objective's fallback checks it
             problem._check_eps(problem.check_vector(x_new), eps_new)
         elif product is not None:  # A x_new from A x and y's support, where that is cheaper
-            updated = smooth._damped_product(product, grad, y, config.alpha)
+            updated = smooth._damped_product(product, grad, y, config.alpha,
+                                             getattr(carry, "block", []))
             if updated is not None:
                 parts.append(updated[0])
                 new_grad = updated[1]
@@ -588,7 +605,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     x0 = problem.check_vector(np.asarray(x0, dtype=float))
     step_fn = dirl1_step if config.algorithm == "DIRL1" else dirl2_step
 
-    carry = []  # the radius and product that each objective call hands to the next step
+    carry = _Carry()  # what each objective call hands to the next step, and the row block
     state = make_initial_state(config, problem, x0, _carry=carry)
     F0, factor, eps_inf = state.F_perturbed, config.eps_factor, float(state.eps.max())
     records = [_record(state, eps_inf)]
