@@ -27,8 +27,9 @@ def _frozen(a):
     return out
 
 
-#: The fewest entries of A for which a DIRL1 step may form A x from the support
-#: of y (``SmoothTerm._damped_product``); a smaller term always forms it densely.
+#: The fewest entries of A for which a DIRL1 step may form A x and the gradient
+#: from the support of y (``SmoothTerm._damped_product``); a smaller term always
+#: forms them densely.
 _DAMPED_MIN_SIZE = 2**18
 
 
@@ -61,16 +62,15 @@ class SmoothTerm:
     ``value`` and ``gradient`` each form the one dense product A x (A x - b
     for least squares). The solver forms it once per iterate, in the
     objective, and takes the next step's gradient from it through
-    ``_gradient_at``. On a term of at least ``_DAMPED_MIN_SIZE`` entries a
-    step whose y is sparse forms the next product from this one and A y
-    instead (``_damped_product``), which reads only y's rows of a column
-    cache: for a least-squares term a C-contiguous copy of A', one more
-    copy of A. A least-squares term with n <= 4m (decided once, here) also
-    carries the gradient A'r through the same update, from y's rows of the
-    Gram matrix G = A'A (``hessian``, n^2 entries, formed on first use if
-    the analysis has not formed it) and A'b (formed once). The term keeps
-    only these per-term caches; the rows of y's support that the update
-    reads are held by the caller, ``solvers.run``, for one run.
+    ``_gradient_at``. A least-squares term with at least
+    ``_DAMPED_MIN_SIZE`` entries and n <= 4m (``_damped``, decided once,
+    here) lets a DIRL1 step whose y is sparse form the next product and
+    gradient from these ones and y's support instead (``_damped_product``),
+    through y's columns of A and rows of the Gram matrix G = A'A
+    (``hessian``, n^2 entries, formed on first use if the analysis has not
+    formed it) and A'b (formed once). The term keeps only these per-term
+    caches; the rows of y's support that the update reads are held by the
+    caller, ``solvers.run``, for one run.
 
     Every product goes through ``ndarray.dot``: at the solver's small n the
     dispatch of the ``@`` gufunc costs more than the product itself. For a
@@ -81,8 +81,7 @@ class SmoothTerm:
     has always formed it.
     """
 
-    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_columns",
-                 "_carries_gradient", "_atb")
+    __slots__ = ("kind", "A", "b", "c", "_gram", "_lipschitz", "_damped", "_atb")
 
     def __init__(self, kind, A, b, c=0.0):
         if kind not in SMOOTH_KINDS:
@@ -102,11 +101,9 @@ class SmoothTerm:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_lipschitz", None)
-        # None: formed on first use by _damped_product. False: below the gate, never formed.
-        object.__setattr__(self, "_columns", None if A.size >= _DAMPED_MIN_SIZE else False)
         # With n <= 4m, G has at most 4x A's entries and its rows cost no more than A'r.
-        object.__setattr__(self, "_carries_gradient",
-                           kind == "least_squares" and A.shape[1] <= 4 * A.shape[0])
+        object.__setattr__(self, "_damped", kind == "least_squares"
+                           and A.size >= _DAMPED_MIN_SIZE and A.shape[1] <= 4 * A.shape[0])
         object.__setattr__(self, "_atb", None)
 
     def __setattr__(self, name, value):
@@ -123,21 +120,21 @@ class SmoothTerm:
         """A x for a quadratic term, A x - b for least squares."""
         return self.A.dot(x) if self.kind == "quadratic" else self.A.dot(x) - self.b
 
-    def _damped_product(self, product, gradient, y, alpha, block):
-        """``(self._product(z), g)`` at z = (1-alpha) x + alpha y from
-        ``product = self._product(x)`` and ``gradient``, the gradient at x;
-        or None where the dense product is cheaper. g is the gradient at z
-        for a least-squares term with n <= 4m, else None.
+    def _damped_product(self, product, gradient, y, alpha, carry):
+        """``(self._product(z), g)`` at z = (1-alpha) x + alpha y, g the
+        gradient at z, from ``product = self._product(x)`` and ``gradient``,
+        the gradient at x; or None where y has more than m nonzeros. Only a
+        term with ``_damped`` set takes it.
 
-        The product is (1-alpha) A x + alpha A y, each less b for least
-        squares, and g is (1-alpha) gradient + alpha (G y - A'b) with
-        G = A'A. A y and G y read only y's support, through ``block``: a
-        list that the caller keeps from step to step, empty or
-        ``[idx, rows]``, where row i of the C-contiguous ``rows`` is row
-        ``idx[i]`` of the column cache (A itself for an exactly symmetric
-        C-ordered quadratic, else a C-contiguous A', formed on first use),
-        followed by row ``idx[i]`` of G (``hessian``) where the gradient is
-        carried. One ``y[idx].dot(rows)`` gives A y and G y together.
+        The product is (1-alpha) A x + alpha (A y - b), and g is
+        (1-alpha) gradient + alpha (G y - A'b) with G = A'A. A y and G y
+        read only y's support, through the row block ``carry.idx`` and
+        ``carry.rows`` that the caller keeps from step to step (both None
+        before the first gather): row i of the C-contiguous ``rows`` is
+        column ``idx[i]`` of A followed by row ``idx[i]`` of G
+        (``hessian``), so one ``y[idx].dot(rows)`` gives A y and G y
+        together. For |S| <= m, G's rows cost 2n|S| <= 2mn flops, no more
+        than A'r.
 
         The reweighted-l1 subproblem identifies the support of its
         solution, so DIRL1's y is sparse and its support only shrinks once
@@ -145,33 +142,23 @@ class SmoothTerm:
         entry of y is zero is dropped in place: its slot takes a surviving
         row from the block's tail and the block is truncated, which copies
         only the dropped rows. An index outside ``idx`` gathers the block
-        again from the caches, in the order of the support. The rows'
-        order is the caller's drop history, so a run's bits depend only on
-        that run.
+        again, in the order of the support. The rows' order is the caller's
+        drop history, so a run's bits depend only on that run.
 
-        A term below ``_DAMPED_MIN_SIZE`` entries (decided once per term)
-        returns None before it reads ``block``. Above it, a least-squares
-        term that carries the gradient takes the update for |S| <= m: G's
-        rows then cost 2n|S| <= 2mn, no more than A'r, and n <= 4m keeps G
-        within 4x A's memory. Every other term takes it for 4|S| <= n
-        (OpenBLAS, one thread; the README has the table). A quadratic
-        term's gradient, product + b, is already cheap. The
-        rounding error of each carried quantity against the dense one at
+        The rounding error of each carried quantity against the dense one at
         the rounded (1-alpha) x + alpha y is scaled by 1 - alpha at each
         further step, so it stays near one step's rounding over alpha and
         does not grow with the step count: tests hold the product within
         16 eps (|A||x| + |b|) and the gradient within 4 eps
         |A'|(|A||x| + |b|).
         """
-        if self._columns is False:
-            return None
         m, count = self.A.shape[0], np.count_nonzero(y)
-        if count > (m if self._carries_gradient else y.size // 4):
+        if count > m:
             return None
-        if block:
-            idx, rows = block
+        idx, rows = carry.idx, carry.rows
+        if idx is not None:
             ys = y[idx]
-        if not block or np.count_nonzero(ys) != count:  # an index outside the block
+        if idx is None or np.count_nonzero(ys) != count:  # an index outside the block
             idx = np.flatnonzero(y)
             rows = self._support_rows(idx)
             ys = y[idx]
@@ -182,36 +169,22 @@ class SmoothTerm:
             rows[holes] = rows[tail]
             ys[holes] = ys[tail]
             idx, rows, ys = idx[:count], rows[:count], ys[:count]
-        block[:] = (idx, rows)
+        carry.idx, carry.rows = idx, rows
         Ay = ys.dot(rows)
-        if self.kind == "quadratic":
-            return (1.0 - alpha) * product + alpha * Ay, None
         Ay, Gy = Ay[:m], Ay[m:]
         Ay -= self.b
-        product = (1.0 - alpha) * product + alpha * Ay
-        if not self._carries_gradient:
-            return product, None
         Gy -= self._transposed_b()
-        return product, (1.0 - alpha) * gradient + alpha * Gy
+        return (1.0 - alpha) * product + alpha * Ay, (1.0 - alpha) * gradient + alpha * Gy
 
     def _support_rows(self, support):
-        """A fresh C-contiguous array of ``support``'s rows of the column
-        cache, followed by its rows of G where the gradient is carried."""
-        columns = self._columns
-        if columns is None:
-            A = self.A
-            symmetric = self.kind == "quadratic" and np.array_equal(A, A.T)
-            columns = A if symmetric and A.flags.c_contiguous else np.ascontiguousarray(A.T)
-            columns.setflags(write=False)
-            object.__setattr__(self, "_columns", columns)
-        if not self._carries_gradient:
-            return columns[support]
+        """A fresh C-contiguous array of ``support``'s columns of A, as rows,
+        followed by its rows of G."""
         # The cached G once formed: hessian() is called only to form it, once per term.
         gram = self.hessian() if self._gram is None else self._gram
         m = self.A.shape[0]
         # Two slice copies: np.concatenate(axis=1) took 5x as long at 498 x 1500.
         rows = np.empty((support.size, m + gram.shape[1]))
-        rows[:, :m] = columns[support]
+        rows[:, :m] = self.A[:, support].T
         rows[:, m:] = gram[support]
         return rows
 
@@ -339,12 +312,13 @@ class Problem:
         ``penalty_value`` in turn, which raise the errors and warnings that
         name the array at fault.
 
-        ``parts``, a list passed by the solver, receives the checked t and
-        ``smooth._product(x)`` when the predicate accepted them, so the next
-        step neither forms nor checks either again. It ends empty otherwise.
-        It may come holding one entry, the product at x that the step formed
-        from the last one (``SmoothTerm._damped_product``); that entry is
-        taken in place of a dense ``smooth._product(x)``.
+        ``parts``, the solver's ``_Carry``, names what the next step takes:
+        when the predicate accepted x and eps it receives the checked t as
+        ``radius`` and ``smooth._product(x)`` as ``product``, so the next
+        step neither forms nor checks either again; a fallback clears its
+        radius, product and gradient. A product that it comes holding, the
+        one the step formed from the last (``SmoothTerm._damped_product``),
+        is taken in place of a dense ``smooth._product(x)``.
         The solver passes it only with a finite x and an eps >= 0 and finite,
         for which only an overflow of t can warn: so t is formed with
         warnings on, once, and a t that fails the predicate is not formed
@@ -352,20 +326,22 @@ class Problem:
         once more with warnings after x and eps have passed their checks.
         """
         x = np.asarray(x, dtype=float)
-        product = parts.pop() if parts else None
         t = None  # a t formed with warnings on: the checks below take it as it is
         if (x.shape == (self.dimension,) and type(eps) is np.ndarray
                 and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
             t = _quietly(radius, x, eps) if parts is None else radius(x, eps)
             if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
                 r = self.reg._value_in_domain(t)
+                product = None if parts is None else parts.product
                 if product is None:
                     product = self.smooth._product(x)
                 if parts is not None:
-                    parts += (t, product)
+                    parts.radius, parts.product = t, product
                 return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))
             if parts is None:  # formed quietly: formed again below, with warnings
                 t = None
+        if parts is not None:  # the next step forms its own
+            parts.radius = parts.product = parts.gradient = None
         x = self.check_vector(x)
         eps = self._check_eps(x, eps)
         return self.smooth.value(x) + self.penalty_value(radius(x, eps) if t is None else t)

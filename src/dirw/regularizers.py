@@ -319,7 +319,10 @@ def derivative_inverse(reg, target):
         raise ValueError("target must be > 0")
     if getattr(reg, "family", None) == "LPN":
         # p t^(p-1) = target  =>  t = (target/p)^(1/(p-1))
-        return (target / reg.p) ** (1.0 / (reg.p - 1.0))
+        try:
+            return (target / reg.p) ** (1.0 / (reg.p - 1.0))
+        except OverflowError:  # a target near 0 puts t beyond the largest float
+            raise ValueError("target is too small for a finite inverse") from None
     if target >= reg.derivative_at_zero_plus():
         raise ValueError("target is not in the range of r'")
     lo, hi = 1e-300, 1e12

@@ -291,58 +291,46 @@ def _descent_check(F_old, F_new, k):
         )
 
 
-class _Carry(list):
-    """``run``'s carry: as a list, what each objective call hands to the next
-    step (see ``_step``); as ``block``, the rows of y's support that
-    ``SmoothTerm._damped_product`` reads and drops in place, which outlive
-    the list's entries and are freed with the carry when ``run`` returns."""
+class _Carry:
+    """What ``run``'s steps hand on, by name. ``radius``, ``product`` and
+    ``gradient`` are those of the last x that the objective accepted, each
+    None where not formed: the objective sets the radius and product and
+    clears all three when it falls back, and the step sets the gradient
+    that it carried to that x (see ``_step``). ``idx`` and ``rows`` are the
+    row block of y's support that ``SmoothTerm._damped_product`` reads and
+    drops in place; they outlive the other fields and are freed with the
+    carry when ``run`` returns."""
 
-    __slots__ = ("block",)
+    __slots__ = ("radius", "product", "gradient", "idx", "rows")
 
     def __init__(self):
-        super().__init__()
-        self.block = []
+        self.radius = self.product = self.gradient = self.idx = self.rows = None
 
 
 def _step(algorithm, state, config, problem, carry):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
     Each quantity is formed once and each array checked once per iteration.
-    ``carry`` is None or ``run``'s list: the radius t = |x| + eps (DIRL1) or
-    hypot(x, eps) (DIRL2) and the product A x (A x - b) that the objective
-    call accepting ``state`` formed and checked (t >= 0 and finite), and
-    possibly the gradient at x that the last step carried; or nothing. The
-    gradient comes from the carried one, else from that product; the
-    weights take that t and test only t > 0, and the list is refilled with
-    the new objective call's. With a product carried, the step asks the
-    smooth term for the product at the new x from that one and y
-    (``SmoothTerm._damped_product``: on a term of at least
-    ``problems._DAMPED_MIN_SIZE`` entries, when at most a quarter of y is
-    nonzero, or at most m entries for a least-squares term with n <= 4m,
-    which is DIRL1's case once its support has shrunk) and hands it to the
-    objective call in place of a dense A x. For that least-squares term the
-    same call returns the gradient at the new x, (1-alpha) grad +
-    alpha (G y - A'b) from y's rows of G = A'A, at 2n|S| flops in place of
-    the 2mn of A'r; it joins the carry only when the objective took the
-    product with it. An objective call that falls back empties the list,
-    and a dense step carries no gradient. ``run``'s carry also holds, as
-    ``block``, the rows of y's support that the update reads: gathered
-    once, dropped in place as the support shrinks, at most m x (m + n)
-    entries, and freed when ``run`` returns; G holds n^2. A plain list
-    carries no block, so each of its steps gathers afresh. Tests hold the
-    carried product within 16 eps (|A||x| + |b|) of the dense one and the
-    gradient within 4 eps |A'|(|A||x| + |b|).
-    Without a carry the step forms and checks both from the state's
-    x and eps, and checks the new eps before the objective call, which takes
-    it to be >= 0 and finite. The subproblem checks the weights only for a
-    penalty other than a built-in ``Regularizer`` (r' values at checked
-    points: >= 0, never NaN). A step or F that is not finite raises
-    NumericalFailure.
+    ``carry`` is None or ``run``'s ``_Carry``, whose radius t = |x| + eps
+    (DIRL1) or hypot(x, eps) (DIRL2) and product A x (A x - b) the
+    objective formed and checked (t >= 0 and finite) when it accepted
+    ``state``: the gradient comes from the carried one, else from that
+    product, and the weights take t and test only t > 0. On a term with
+    ``_damped`` set, the step forms the product and gradient at the new x
+    from these and y's support (``SmoothTerm._damped_product``, DIRL1's case
+    once its support is at most m) and hands both on in place of a dense
+    A x and A'r; the objective call refills the carry. Without a carry the
+    step forms and checks both from the state's x and eps, and checks the
+    new eps before the objective call, which takes it to be >= 0 and
+    finite. The subproblem checks the weights only for a penalty other
+    than a built-in ``Regularizer`` (r' values at checked points: >= 0,
+    never NaN). A step or F that is not finite raises NumericalFailure.
     """
     x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
-    smooth, parts, checked = problem.smooth, [], type(reg) is Regularizer
-    radius, product, grad = (*(carry or ()), None, None, None)[:3]
-    new_grad = None
+    smooth, checked, bare = problem.smooth, type(reg) is Regularizer, carry is None
+    if bare:  # the objective's, for this step only
+        carry = _Carry()
+    radius, product, grad = carry.radius, carry.product, carry.gradient
     try:
         if grad is None:
             grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
@@ -363,28 +351,23 @@ def _step(algorithm, state, config, problem, carry):
             raise NumericalFailure(
                 f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
             )
-        if carry is None:  # checked as the objective's fallback checks it
+        if bare:  # checked as the objective's fallback checks it
             problem._check_eps(problem.check_vector(x_new), eps_new)
-        elif product is not None:  # A x_new from A x and y's support, where that is cheaper
-            updated = smooth._damped_product(product, grad, y, config.alpha,
-                                             getattr(carry, "block", []))
-            if updated is not None:
-                parts.append(updated[0])
-                new_grad = updated[1]
-        if algorithm == "DIRL1":
-            F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=parts)
+        elif product is not None and smooth._damped:  # A x_new and its gradient from y's support
+            carry.product, carry.gradient = (
+                smooth._damped_product(product, grad, y, config.alpha, carry) or (None, None))
         else:
-            F_new = problem.perturbed_value_l2(x_new, eps_new, _parts=parts)
+            carry.product = carry.gradient = None
+        if algorithm == "DIRL1":
+            F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=carry)
+        else:
+            F_new = problem.perturbed_value_l2(x_new, eps_new, _parts=carry)
     except (NumericalFailure, TypeError, ValueError):
         # Only a state built by hand can hold a bad x; name the bad x rather
         # than the error it caused further on.
         problem.check_vector(x)
         raise
     _descent_check(state.F_perturbed, F_new, k)
-    if carry is not None:
-        if parts and new_grad is not None:  # the objective took the product that goes with it
-            parts.append(new_grad)
-        carry[:] = parts
     return IterateState(k, x_new, eps_new, y, F_new, step_norm,
                         float(np.maximum.reduce(np.abs(center))), dx)
 
@@ -535,8 +518,8 @@ def validate_config(config, problem):
 def make_initial_state(config, problem, x0, *, _carry=None):
     """The k = 0 state of ``config.algorithm``.
 
-    Only ``run`` passes ``_carry``, a list that receives the objective's
-    radius and product for the first step; see ``_step``.
+    Only ``run`` passes ``_carry``, a ``_Carry`` that receives the
+    objective's radius and product for the first step; see ``_step``.
     """
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
@@ -584,9 +567,11 @@ def _post_run_diagnostics(config, problem, L, C):
 def run(config, problem, x0, trace_full=False, record_every=1):
     """Iterate until the step and relaxation norms fall below tolerance.
 
-    Convergence requires ||x_next - x||_inf <= tol_step on ten consecutive
-    iterations (so a single incidentally tiny step cannot stop the run)
-    together with ||eps||_inf <= tol_eps. Returns a SolveTrace whose records
+    Convergence requires ||x_next - x||_inf <= tol_step, each step no
+    larger than the one before it, on ten consecutive iterations (so a
+    single incidentally tiny step cannot stop the run, nor a run whose
+    steps grow away from a strict saddle) together with
+    ||eps||_inf <= tol_eps. Returns a SolveTrace whose records
     (the CSV rows) hold scalars and a support string; ``trace_full=True`` also
     keeps every iterate. ``record_every`` thins the records (the first and
     last iterations are always kept). Each (x, eps) is stored once, uncopied,
@@ -613,7 +598,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     sum_sq_steps = 0.0
     C = -math.inf
     converged = False
-    small_steps = 0
+    small_steps, prev_step = 0, math.inf
 
     while state.k < config.max_iter:
         state = step_fn(state, config, problem, _carry=carry)
@@ -622,7 +607,10 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         sum_sq_steps += float(np.add.reduce(state.step * state.step))
         C = max(C, state.prox_center_inf)
         history.append((state.x, state.eps))
-        small_steps = small_steps + 1 if state.step_norm <= config.tol_step else 0
+        # A small step counts only if it is no larger than the last: near a
+        # strict saddle the steps grow by the unstable mode's factor.
+        contracting, prev_step = state.step_norm <= prev_step, state.step_norm
+        small_steps = small_steps + 1 if contracting and state.step_norm <= config.tol_step else 0
         done = small_steps >= 10 and eps_inf <= config.tol_eps
         if state.k % record_every == 0 or done or state.k == config.max_iter:
             records.append(_record(state, eps_inf))

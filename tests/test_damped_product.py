@@ -1,24 +1,26 @@
-"""A DIRL1 step on a large term forms the next A x from the last one and the
-support of y, and on a least-squares term with n <= 4m the next gradient
-too; both stay as close to the dense products as one step's rounding.
+"""A DIRL1 step on a large least-squares term with n <= 4m forms the next
+A x - b and the next gradient from the last ones and the support of y; both
+stay as close to the dense products as one step's rounding.
 
-``SmoothTerm._damped_product`` gives A x_new = (1-alpha) A x + alpha A y,
-less b for least squares, reading only y's columns of A, and the gradient
+``SmoothTerm._damped_product`` gives A x_new - b = (1-alpha) (A x - b) +
+alpha (A y - b), reading only y's columns of A, and the gradient
 (1-alpha) g + alpha (G y - A'b) from y's rows of G = A'A. ``run``'s carry
-holds those rows as one block: gathered when an index outside it enters
-y's support, and dropped in place as the support shrinks. Setting
-``problems._DAMPED_MIN_SIZE`` to inf before a term is built keeps that term
-on the dense ``A.dot(x)`` and ``A.T.dot(r)`` path, which is the reference
-here.
+holds those rows as one block (``idx`` and ``rows``): gathered when an index
+outside it enters y's support, and dropped in place as the support shrinks.
+Setting ``problems._DAMPED_MIN_SIZE`` to inf before a term is built keeps
+that term on the dense ``A.dot(x)`` and ``A.T.dot(r)`` path, which is the
+reference here; a quadratic term and a least-squares term with n > 4m stay
+on it above the size gate too.
 
-The bounds were measured on the three instances below (256 x 1024 and
-384 x 768 least squares, a 512 x 512 quadratic) and on four more seeds of
-each, and on perfbench's 500 x 1000 lsq1000 at three seeds, under OpenBLAS
-with one thread and with two: the carried product stayed within 4.9 eps
-(|A||x| + |b|) of ``A.dot(x) - b``, the carried gradient within 0.70 eps
-|A'|(|A||x| + |b|) of ``A.T.dot(A.dot(x) - b)``, the limits within 3.3e-15
-(|x|inf about 2) and every F_perturbed within 4.2e-15 relative, with the
-dense path's iteration count and support strings.
+The bounds were measured on the 256 x 1024 and 384 x 768 instances below
+and on four more seeds of each, and on perfbench's 500 x 1000 lsq1000 at
+three seeds, under OpenBLAS with one thread and with two: the carried
+product stayed within 4.9 eps (|A||x| + |b|) of ``A.dot(x) - b``, the
+carried gradient within 0.70 eps |A'|(|A||x| + |b|) of
+``A.T.dot(A.dot(x) - b)``, the limits within 3.3e-15 (|x|inf about 2) and
+every F_perturbed within 4.2e-15 relative, with the dense path's iteration
+count and support strings. The 1024 x 256 instance at five seeds, whose
+every step takes the update, gave 2.8 eps, 1.75 eps, 4.4e-15 and 1.2e-15.
 """
 
 import copy
@@ -27,6 +29,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dirw import analysis, problems, solvers
 from dirw.problems import Problem, SmoothTerm
@@ -57,6 +62,15 @@ def least_squares(m=256, n=1024, k=16, seed=7):
     return Problem(SmoothTerm("least_squares", A, b), Regularizer("LPN", 0.5), 0.05)
 
 
+def tall():
+    """A 1024 x 256 least-squares term: y never has more than m nonzeros, so
+    every DIRL1 step takes the update, from a dense y on."""
+    return least_squares(m=1024, n=256, seed=9)
+
+
+INSTANCES = {"least_squares": least_squares, "tall": tall}
+
+
 def quadratic(n=512, k=16, seed=8):
     """The normal equations of a planted least-squares problem with n/2 rows,
     as an exactly symmetric quadratic with n^2 = 2^18 entries."""
@@ -71,7 +85,12 @@ def quadratic(n=512, k=16, seed=8):
                    Regularizer("LPN", 0.5), 0.05)
 
 
-INSTANCES = {"least_squares": least_squares, "quadratic": quadratic}
+def wide(m=128, n=2048, seed=5):
+    """A least-squares term with n = 16 m: G would hold 16x A's entries."""
+    gen = np.random.default_rng(seed)
+    A = gen.normal(0.0, 1.0 / np.sqrt(m), (m, n))
+    b = A[:, :8].sum(axis=1) + 0.01 * gen.normal(size=m)
+    return Problem(SmoothTerm("least_squares", A, b), Regularizer("LPN", 0.5), 0.05)
 
 
 def dense(monkeypatch, make):
@@ -86,12 +105,12 @@ def checked_run(monkeypatch, config, problem):
     PRODUCT_BOUND of the dense one and a carried gradient within
     GRADIENT_BOUND; returns the trace, the support size |S| of y on each step
     that took the update, the number of steps that carried a gradient and
-    the row block that the run's carry held at the end."""
+    the run's carry as it held them at the end."""
     step, update = solvers._step, SmoothTerm._damped_product
     sizes, gradients, carries = [], [], []
 
-    def counted(term, product, gradient, y, alpha, block):
-        out = update(term, product, gradient, y, alpha, block)
+    def counted(term, product, gradient, y, alpha, carry):
+        out = update(term, product, gradient, y, alpha, carry)
         if out is not None:
             sizes.append(np.count_nonzero(y))
         return out
@@ -100,16 +119,14 @@ def checked_run(monkeypatch, config, problem):
         new = step(algorithm, state, config, problem, carry)
         carries.append(carry)
         s = problem.smooth
-        scale = np.abs(s.A).dot(np.abs(new.x))
-        if s.kind == "least_squares":
-            scale += np.abs(s.b)
+        scale = np.abs(s.A).dot(np.abs(new.x)) + np.abs(s.b)
         product = s._product(new.x)
-        error = np.abs(carry[1] - product)
+        error = np.abs(carry.product - product)
         assert (error <= PRODUCT_BOUND * EPS * scale).all(), (new.k, (error / (EPS * scale)).max())
-        gradients.append(len(carry) == 3)
-        if len(carry) == 3:
+        gradients.append(carry.gradient is not None)
+        if carry.gradient is not None:
             scale = np.abs(s.A).T.dot(scale)
-            error = np.abs(carry[2] - s.A.T.dot(product))
+            error = np.abs(carry.gradient - s.A.T.dot(product))
             assert (error <= GRADIENT_BOUND * EPS * scale).all(), (
                 new.k, (error / (EPS * scale)).max())
         return new
@@ -118,7 +135,7 @@ def checked_run(monkeypatch, config, problem):
         m.setattr(solvers, "_step", checked)
         m.setattr(SmoothTerm, "_damped_product", counted)
         trace = run(config, problem, np.zeros(problem.dimension))
-    return trace, sizes, sum(gradients), carries[-1].block
+    return trace, sizes, sum(gradients), carries[-1]
 
 
 def bits(trace):
@@ -136,10 +153,12 @@ def test_dirl1_update_stays_within_rounding_of_the_dense_path(kind, monkeypatch)
     want = run(config, reference, np.zeros(reference.dimension))
     got, sizes, gradients, _ = checked_run(monkeypatch, config, problem)
 
-    assert reference.smooth._columns is False  # the dense path never formed the cache
-    assert len(sizes) >= got.iterations // 2  # the update ran on most steps
-    # A least-squares term with n = 4m carries the gradient with every product update.
-    assert gradients == (len(sizes) if kind == "least_squares" else 0)
+    assert not reference.smooth._damped and problem.smooth._damped
+    if kind == "tall":
+        assert len(sizes) == got.iterations  # every step took the update
+    else:
+        assert len(sizes) >= got.iterations // 2  # the update ran on most steps
+    assert gradients == len(sizes)  # each update carried the gradient with the product
     assert (got.iterations, got.converged) == (want.iterations, True)
     assert [r.support_bits for r in got.records] == [r.support_bits for r in want.records]
     assert (analysis.classify_stationary_point(problem, got.limit_x).classification
@@ -158,7 +177,7 @@ def test_dirl2_keeps_the_dense_bits(monkeypatch):
     problem = least_squares()
     assert bits(run(config, problem, np.zeros(1024))) == bits(
         run(config, reference, np.zeros(1024)))
-    assert problem.smooth._columns is None  # above the gate, but never formed
+    assert problem.smooth._damped  # above the gate, but never taken
     assert problem.smooth._gram is None
 
 
@@ -182,12 +201,12 @@ def test_gate_of_a_term_that_carries_the_gradient_is_m(monkeypatch):
 
 
 class Untouchable:
-    """A row block that fails on any read or write."""
+    """A row block, or an update, that fails on any use."""
 
     def _fail(self, *args):
         raise AssertionError("the block was touched")
 
-    __bool__ = __len__ = __iter__ = __getitem__ = __setitem__ = _fail
+    __bool__ = __len__ = __iter__ = __getitem__ = __setitem__ = __call__ = _fail
 
 
 def test_term_below_the_gate_never_forms_the_cache():
@@ -197,18 +216,15 @@ def test_term_below_the_gate_never_forms_the_cache():
     problem = Problem(SmoothTerm("least_squares", A, b), Regularizer("LPN", 0.5), 0.05)
     trace = run(SolverConfig("DIRL1"), problem, np.zeros(50))
     assert trace.records[-1].support_bits.count("0") > 40  # y was sparse
-    assert problem.smooth._columns is False
-    y = np.zeros(50)
-    y[0] = 1.0
     term = problem.smooth
-    assert term._damped_product(term._product(y), term.gradient(y), y, 0.2, Untouchable()) is None
-    assert term._gram is None
+    assert not term._damped
+    assert term._gram is None and term._atb is None
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 def test_step_below_the_gate_neither_reads_nor_builds_a_block(algorithm, monkeypatch):
-    """escape2d's 2 x 2 and solve-trace's 100 x 200 terms: the update returns
-    before it looks at the run's block, so their steps do no more work."""
+    """escape2d's 2 x 2 and solve-trace's 100 x 200 terms: the step never
+    calls the update nor looks at the run's block, so it does no more work."""
     gen = np.random.default_rng(4)
     A = gen.normal(0.0, 0.1, (100, 200))
     wide = Problem(SmoothTerm("least_squares", A, A[:, :5].sum(axis=1)),
@@ -217,18 +233,56 @@ def test_step_below_the_gate_neither_reads_nor_builds_a_block(algorithm, monkeyp
 
     def guarded(algorithm, state, config, problem, carry):
         if state.k == 0:
-            carry.block = Untouchable()
-        blocks.append(carry.block)
+            carry.idx = carry.rows = Untouchable()
+        blocks.append((carry.idx, carry.rows))
         return step(algorithm, state, config, problem, carry)
 
     for problem in (problems.benchmark2d(), wide):
         blocks.clear()
         with monkeypatch.context() as m:
             m.setattr(solvers, "_step", guarded)
+            m.setattr(SmoothTerm, "_damped_product", Untouchable())
             trace = run(SolverConfig(algorithm), problem, np.ones(problem.dimension))
         assert len(blocks) == trace.iterations > 10
-        assert all(type(block) is Untouchable for block in blocks)
-        assert problem.smooth._columns is False
+        assert all(type(v) is Untouchable for block in blocks for v in block)
+        assert not problem.smooth._damped
+
+
+def keeps_the_dense_bits(monkeypatch, make, config):
+    """A term above the size gate that the update does not serve: its run
+    gives the bytes of the same term built with the gate off, never calls
+    the update, and forms neither G, A'b nor a row block. Returns the trace."""
+    reference, problem = dense(monkeypatch, make), make()
+    term = problem.smooth
+    assert term.A.size >= problems._DAMPED_MIN_SIZE and not term._damped
+    want = run(config, reference, np.zeros(problem.dimension))
+    step, carries = solvers._step, []
+
+    def kept(algorithm, state, config, problem, carry):
+        carries.append(carry)
+        return step(algorithm, state, config, problem, carry)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_step", kept)
+        m.setattr(SmoothTerm, "_damped_product", Untouchable())
+        got = run(config, problem, np.zeros(problem.dimension))
+    assert bits(got) == bits(want)
+    assert carries and all(c.idx is c.rows is None for c in carries)
+    assert term._gram is None and term._atb is None
+    return got
+
+
+def test_large_quadratic_keeps_the_dense_bits(monkeypatch):
+    # A quadratic term's gradient, product + b, is already cheap.
+    trace = keeps_the_dense_bits(monkeypatch, quadratic, SolverConfig("DIRL1"))
+    assert trace.converged and trace.records[-1].support_bits.count("0") > 512 - 64
+
+
+def test_wide_term_never_forms_the_gram_matrix(monkeypatch):
+    # n = 16 m: G would hold 16x A's entries, so every product stays dense,
+    # though y's support falls below m.
+    trace = keeps_the_dense_bits(monkeypatch, wide, SolverConfig("DIRL1", max_iter=300))
+    assert trace.records[-1].support_bits.count("0") >= 2048 - 128
 
 
 @pytest.mark.parametrize("copier", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
@@ -236,63 +290,19 @@ def test_step_below_the_gate_neither_reads_nor_builds_a_block(algorithm, monkeyp
 def test_copies_are_rebuilt_without_the_cache(copier, monkeypatch):
     config = SolverConfig("DIRL1", max_iter=300)
     problem = least_squares()
-    trace, _, _, block = checked_run(monkeypatch, config, problem)
+    trace, sizes, _, carry = checked_run(monkeypatch, config, problem)
     term = problem.smooth
-    assert isinstance(term._columns, np.ndarray)  # the update ran
+    assert sizes  # the update ran
     # The run held the support rows [A'_S | G_S]; the term holds only its own caches.
-    assert block[1].shape == (block[0].size, 256 + 1024) and term._atb is not None
+    assert carry.rows.shape == (carry.idx.size, 256 + 1024)
+    assert term._gram is not None and term._atb is not None
     twin = copier(problem)
-    assert twin.smooth._columns is None
+    assert twin.smooth._damped
     assert all(v is None for v in (twin.smooth._atb, twin.smooth._gram))
-    got, _, _, twin_block = checked_run(monkeypatch, config, twin)
+    got, _, _, twin_carry = checked_run(monkeypatch, config, twin)
     assert bits(got) == bits(trace)
-    assert [v.tobytes() for v in twin_block] == [v.tobytes() for v in block]
-
-
-def test_cache_reads_columns_of_a():
-    gen = np.random.default_rng(2)
-    n = 512
-    M = gen.normal(size=(n, n))
-    S = 0.5 * (M + M.T)
-    y = np.zeros(n)
-    y[gen.choice(n, 20, replace=False)] = gen.normal(size=20)
-    x = gen.normal(size=n)
-    # Symmetric only within 1e-12: the cache is A', not A.
-    skew = 1e-13 * np.triu(np.ones((n, n)), 1)
-    cases = {"symmetric": SmoothTerm("quadratic", S, np.zeros(n)),
-             "nearly symmetric": SmoothTerm("quadratic", S + skew, np.zeros(n)),
-             "least squares, C order": SmoothTerm("least_squares", M, gen.normal(size=n)),
-             "least squares, F order": SmoothTerm("least_squares", np.asfortranarray(M),
-                                                  gen.normal(size=n))}
-    for name, term in cases.items():
-        z = 0.8 * x + 0.2 * y
-        got, _ = term._damped_product(term._product(x), term.gradient(x), y, 0.2, [])
-        scale = np.abs(term.A).dot(np.abs(z)) + np.abs(term.b)
-        assert (np.abs(got - term._product(z)) <= PRODUCT_BOUND * EPS * scale).all(), name
-        assert term._columns.flags.c_contiguous, name
-        assert np.array_equal(term._columns, term.A.T), name
-    assert cases["symmetric"]._columns is cases["symmetric"].A
-    assert not np.shares_memory(cases["nearly symmetric"]._columns, cases["nearly symmetric"].A)
-    assert np.shares_memory(cases["least squares, F order"]._columns,
-                            cases["least squares, F order"].A)  # A' is C-ordered already
-
-
-def test_wide_term_never_forms_the_gram_matrix(monkeypatch):
-    # n = 16 m: G would hold 16x A's entries, so the product is updated and
-    # the gradient stays A'r.
-    gen = np.random.default_rng(5)
-    m, n = 128, 2048
-    A = gen.normal(0.0, 1.0 / np.sqrt(m), (m, n))
-    b = A[:, :8].sum(axis=1) + 0.01 * gen.normal(size=m)
-    problem = Problem(SmoothTerm("least_squares", A, b), Regularizer("LPN", 0.5), 0.05)
-    trace, sizes, gradients, block = checked_run(
-        monkeypatch, SolverConfig("DIRL1", max_iter=300), problem)
-    assert len(sizes) >= trace.iterations // 2 and gradients == 0
-    assert max(sizes) <= n // 4  # the gate of a term that carries no gradient
-    term = problem.smooth
-    assert isinstance(term._columns, np.ndarray)
-    assert block[1].shape == (block[0].size, m)  # A's columns only, no rows of G
-    assert term._gram is None and term._atb is None
+    assert twin_carry.idx.tobytes() == carry.idx.tobytes()
+    assert twin_carry.rows.tobytes() == carry.rows.tobytes()
 
 
 def test_a_runs_bits_are_its_own():
@@ -309,11 +319,24 @@ def test_a_runs_bits_are_its_own():
     assert bits(run(config, problem, np.zeros(1024))) == want
 
 
+def assert_within_bounds(term, x, y, alpha, got):
+    """The update's product and gradient against the dense ones at
+    (1-alpha) x + alpha y, in units of the summands' scale: eps (|A| s + |b|)
+    and eps |A'| (|A| s + |b|) with s = (1-alpha) |x| + alpha |y|, which is
+    |z| unless x and y cancel."""
+    product, gradient = got
+    z = (1.0 - alpha) * x + alpha * y
+    scale = np.abs(term.A).dot((1.0 - alpha) * np.abs(x) + alpha * np.abs(y)) + np.abs(term.b)
+    assert (np.abs(product - term._product(z)) <= PRODUCT_BOUND * EPS * scale).all()
+    error = np.abs(gradient - term.gradient(z))
+    assert (error <= GRADIENT_BOUND * EPS * np.abs(term.A).T.dot(scale)).all()
+
+
 @pytest.mark.parametrize("kind", INSTANCES)
 def test_block_drops_rows_in_place_and_gathers_on_a_new_index(kind, monkeypatch):
-    """Supports S1 > S2 > S3 take one gather; the block's rows are the
-    cache rows at its indices; an index outside the block gathers again.
-    Each product and gradient stays within the bounds of the dense ones."""
+    """Supports S1 > S2 > S3 take one gather; the block's rows are A's
+    columns and G's rows at its indices; an index outside the block gathers
+    again. Each product and gradient stays within the bounds of the dense ones."""
     problem = INSTANCES[kind]()
     term, n = problem.smooth, problem.dimension
     gen = np.random.default_rng(3)
@@ -328,23 +351,80 @@ def test_block_drops_rows_in_place_and_gathers_on_a_new_index(kind, monkeypatch)
         return gather(term, support)
 
     monkeypatch.setattr(SmoothTerm, "_support_rows", counted)
-    product, gradient, block = term._product(x), term.gradient(x), []
+    product, gradient, carry = term._product(x), term.gradient(x), solvers._Carry()
     for support, gathered in zip(supports, [[60], [60], [60], [60, 22]]):
         y = np.zeros(n)
         y[support] = gen.normal(size=support.size)
-        got, got_gradient = term._damped_product(product, gradient, y, 0.2, block)
+        got = term._damped_product(product, gradient, y, 0.2, carry)
         assert gathers == gathered
-        idx, rows = block
+        idx, rows = carry.idx, carry.rows
         assert np.array_equal(np.sort(idx), np.flatnonzero(y)) and rows.flags.c_contiguous
-        want = term._columns[idx]
-        if kind == "least_squares":
-            want = np.concatenate((want, term._gram[idx]), axis=1)
-        assert np.array_equal(rows, want)
-        z = 0.8 * x + 0.2 * y
-        scale = np.abs(term.A).dot(np.abs(z)) + np.abs(term.b) * (kind == "least_squares")
-        assert (np.abs(got - term._product(z)) <= PRODUCT_BOUND * EPS * scale).all()
-        if kind == "least_squares":
-            error = np.abs(got_gradient - term.gradient(z))
-            assert (error <= GRADIENT_BOUND * EPS * np.abs(term.A).T.dot(scale)).all()
-        else:
-            assert got_gradient is None
+        assert np.array_equal(rows, np.concatenate((term.A[:, idx].T, term._gram[idx]), axis=1))
+        assert_within_bounds(term, x, y, 0.2, got)
+
+
+# Entries of magnitude 1e-3 or more, or 0: no product underflows, where an
+# error bound relative to the summands would not hold.
+NONZERO = st.one_of(st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
+ENTRIES = st.one_of(st.just(0.0), st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_drop_rule_keeps_the_rows_of_the_support(data):
+    """Random terms with n <= 4m (C- or F-ordered A, the gate patched down)
+    and random runs of supports that shrink, grow or tie, each from the
+    last: after each update the block holds exactly y's support, its rows
+    are ``A[:, idx].T`` and ``G[idx]``, it was gathered again only when an
+    index outside it entered, and the product and gradient are within the
+    bounds. A y with more than m nonzeros leaves the update and the block
+    alone."""
+    m = data.draw(st.integers(1, 8), "m")
+    n = data.draw(st.integers(1, 4 * m), "n")
+    # Each entry drawn (no fill value), so that A's columns differ.
+    A = data.draw(hnp.arrays(np.float64, (m, n), elements=ENTRIES, fill=st.nothing()), "A")
+    if data.draw(st.booleans(), "Fortran order"):
+        A = np.asfortranarray(A)
+    b = data.draw(hnp.arrays(np.float64, m, elements=ENTRIES), "b")
+    x = data.draw(hnp.arrays(np.float64, n, elements=ENTRIES), "x")
+    alpha = data.draw(st.floats(0.05, 0.95), "alpha")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problems, "_DAMPED_MIN_SIZE", 1)
+        term = SmoothTerm("least_squares", A, b)
+    assert term._damped
+    gather, gathers = SmoothTerm._support_rows, []
+
+    def counted(term, support):
+        gathers.append(support.size)
+        return gather(term, support)
+
+    product, gradient, carry = term._product(x), term.gradient(x), solvers._Carry()
+    support = np.zeros(0, dtype=np.intp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SmoothTerm, "_support_rows", counted)
+        for _ in range(data.draw(st.integers(2, 8), "steps")):
+            move = data.draw(st.sampled_from(("shrink", "tie", "grow")), "move")
+            kept = support
+            if move != "tie" and support.size:  # a random subset: the drops leave holes
+                kept = data.draw(st.lists(st.sampled_from(support), unique=True,
+                                          max_size=support.size - (move == "shrink")), "kept")
+            added = []
+            if move == "grow":  # indices that may lie outside the block
+                added = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1,
+                                           max_size=m + 1), "added")
+            support = np.union1d(np.array(kept, dtype=np.intp), added).astype(np.intp)
+            y = np.zeros(n)
+            y[support] = data.draw(hnp.arrays(np.float64, support.size, elements=NONZERO), "y_S")
+            idx, rows, gathered = carry.idx, carry.rows, len(gathers)
+            inside = idx is not None and np.isin(support, idx).all()
+            got = term._damped_product(product, gradient, y, alpha, carry)
+            if support.size > m:
+                assert got is None and carry.idx is idx and carry.rows is rows
+                assert len(gathers) == gathered
+                continue
+            assert len(gathers) == gathered + (not inside)
+            idx, rows = carry.idx, carry.rows
+            assert np.array_equal(np.sort(idx), support) and rows.flags.c_contiguous
+            assert np.array_equal(rows[:, :m], A[:, idx].T)
+            assert np.array_equal(rows[:, m:], term.hessian()[idx])
+            assert_within_bounds(term, x, y, alpha, got)

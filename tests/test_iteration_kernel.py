@@ -5,8 +5,8 @@ each array once.
 took one predicate and the step formed each quantity once: the reference
 for the bits. It also forms, after the fact and the plain way, the radius
 and product that ``run``'s loop now carries from each objective call to the
-next step, and fills the carry with them, so that the carry can be compared
-too. ``run`` with the current kernel must give the same records, iterates,
+next step, and sets the carry's ``radius`` and ``product`` to them, so that
+those fields can be compared too. ``run`` with the current kernel must give the same records, iterates,
 limit and diagnostics as ``run`` with ``old_step`` in its place, and must
 fail at the same iteration with the same message.
 """
@@ -93,7 +93,7 @@ def old_make_initial_state(config, problem, x0, *, _carry=None):
         raise NumericalFailure(f"perturbed objective is not finite at iteration 0: {F0!r}",
                                iteration=0)
     if _carry is not None:
-        _carry[:] = old_parts(config.algorithm, problem, x0, eps)
+        _carry.radius, _carry.product = old_parts(config.algorithm, problem, x0, eps)
     return IterateState(k=0, x=x0, eps=eps, y=x0.copy(), F_perturbed=F0, step_norm=math.inf)
 
 
@@ -114,7 +114,7 @@ def old_step(algorithm, state, config, problem, carry=None):
         raise
     old_descent_check(state.F_perturbed, F_new, k)
     if carry is not None:
-        carry[:] = old_parts(algorithm, problem, x_new, eps_new)
+        carry.radius, carry.product = old_parts(algorithm, problem, x_new, eps_new)
     return IterateState(
         k=k,
         x=x_new,
@@ -212,8 +212,15 @@ def _state_bits(state):
             for f in dataclasses.fields(state) for v in [getattr(state, f.name)]}
 
 
+def _bits(parts):
+    return [v.tobytes() for v in parts]
+
+
 def _carry_bits(carry):
-    return [v.tobytes() for v in carry]
+    """The radius and product that ``carry`` hands on; these terms are below
+    the damped update's gate, so it hands on no gradient and no row block."""
+    assert carry.gradient is carry.idx is carry.rows is None
+    return _bits((carry.radius, carry.product))
 
 
 @pytest.mark.parametrize("beta", [4.0, 3.3])
@@ -227,16 +234,16 @@ def test_step_matches_old_step(algorithm, eps_decay, beta):
     for problem, x0 in [(benchmark2d(), np.array([3.0, 3.0])),
                         (benchmark2d(), np.array([-0.4, 1e-3])),
                         (_least_squares(), np.random.default_rng(6).normal(size=50))]:
-        carry = []
+        carry = solvers._Carry()
         state = solvers.make_initial_state(config, problem, x0, _carry=carry)
         assert _state_bits(state) == _state_bits(old_make_initial_state(config, problem, x0))
-        assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, x0, state.eps))
+        assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, x0, state.eps))
         for _ in range(60):
             bare = solvers._step(algorithm, state, config, problem, None)
             new = solvers._step(algorithm, state, config, problem, carry)
             assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
             assert _state_bits(bare) == _state_bits(new)
-            assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
+            assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, new.x, new.eps))
             state = new
 
 
@@ -250,9 +257,9 @@ def test_step_of_the_other_algorithms_state_forms_its_radius(algorithm):
     state = solvers.make_initial_state(config, problem, np.array([1.3, -2.1]))
     new = solvers._step(algorithm, state, config, problem, None)
     assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
-    carry = []
+    carry = solvers._Carry()
     assert _state_bits(solvers._step(algorithm, state, config, problem, carry)) == _state_bits(new)
-    assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
+    assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, new.x, new.eps))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
@@ -269,11 +276,11 @@ def test_step_with_another_problem_or_x_forms_its_own_parts(algorithm):
     for problem, start in [(other, state),
                            (built_for, dataclasses.replace(state, x=np.array([0.4, 0.2]))),
                            (built_for, dataclasses.replace(state, eps=2.0 * state.eps))]:
-        carry = []
+        carry = solvers._Carry()
         new = solvers._step(algorithm, start, config, problem, carry)
         assert _state_bits(new) == _state_bits(old_step(algorithm, start, config, problem))
         assert _state_bits(solvers._step(algorithm, start, config, problem, None)) == _state_bits(new)
-        assert _carry_bits(carry) == _carry_bits(old_parts(algorithm, problem, new.x, new.eps))
+        assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, new.x, new.eps))
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])

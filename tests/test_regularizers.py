@@ -227,3 +227,5 @@ def test_derivative_inverse():
     assert log.derivative(t2) == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ValueError):
         derivative_inverse(log, 5.0)  # above r'(0+) = 2
+    with pytest.raises(ValueError, match="too small"):
+        derivative_inverse(reg, 1e-300)  # t = (2e-300)^-2 is beyond the largest float
