@@ -49,11 +49,18 @@ class FixedPointJacobian:
     off_Ieps: np.ndarray
     scalar_J: float
     scalar_eps: float
-    spectrum: np.ndarray
-    #: Active-block eigenvalues and the SaddleReport of x* that the block is
-    #: built on, set by dirl{1,2}_jacobian.
-    block_eigenvalues: np.ndarray = None
+    #: The active block's eigenvalues.
+    block_eigenvalues: np.ndarray
+    #: The SaddleReport of x* that the block is built on, set by dirl{1,2}_jacobian.
     saddle: SaddleReport = None
+
+    @property
+    def spectrum(self):
+        """Every eigenvalue of DT, sorted: the block's, scalar_J once per
+        inactive coordinate and scalar_eps once per dimension."""
+        return np.sort(np.concatenate([self.block_eigenvalues,
+                                       np.full(len(self.inactive), self.scalar_J),
+                                       np.full(self.dimension, self.scalar_eps)]))
 
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
@@ -106,12 +113,6 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         rpp = np.atleast_1d(prob.reg.second_derivative(np.abs(xa)))
         off_Ieps = -(alpha / beta) * prob.lam * rpp * np.sign(xa)
     scalar_eps = eps_factor(alpha, mu, eps_decay)
-    block_vals = 1.0 - (alpha / beta) * vals
-    spectrum = np.sort(
-        np.concatenate(
-            [block_vals, np.full(len(inact), 1.0 - alpha), np.full(n, scalar_eps)]
-        )
-    )
     return FixedPointJacobian(
         algorithm=algorithm,
         dimension=n,
@@ -122,8 +123,7 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         off_Ieps=off_Ieps,
         scalar_J=1.0 - alpha,
         scalar_eps=scalar_eps,
-        spectrum=spectrum,
-        block_eigenvalues=block_vals,
+        block_eigenvalues=1.0 - (alpha / beta) * vals,
         saddle=saddle,
     )
 

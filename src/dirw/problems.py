@@ -49,13 +49,6 @@ def _l1_radius(x, eps):
 _l2_radius = np.hypot
 
 
-@np.errstate(all="ignore")
-def _quietly(radius, x, eps):
-    """radius(x, eps) without floating-point warnings: the caller checks the
-    result, and recomputes it with warnings when the check fails."""
-    return radius(x, eps)
-
-
 class SmoothTerm:
     """Dense smooth term with closed-form gradient and (constant) Hessian.
 
@@ -290,58 +283,53 @@ class Problem:
     def perturbed_value_l1(self, x, eps, *, _parts=None):
         """f(x) + lambda * sum_i r(|x_i| + eps_i); equals F(x) at eps = 0.
 
-        One predicate checks x, eps and r's domain; see ``_perturbed_value``.
+        Only ``run`` passes ``_parts``; see ``_perturbed_value``.
         """
         return self._perturbed_value(x, eps, _l1_radius, _parts)
 
     def perturbed_value_l2(self, x, eps, *, _parts=None):
         """f(x) + lambda * sum_i r(sqrt(x_i^2 + eps_i^2)).
 
-        One predicate checks x, eps and r's domain; see ``_perturbed_value``.
+        Only ``run`` passes ``_parts``; see ``_perturbed_value``.
         """
         return self._perturbed_value(x, eps, _l2_radius, _parts)
 
     def _perturbed_value(self, x, eps, radius, parts):
         """f(x) + lambda * sum_i r(t_i) with t = radius(x, eps).
 
-        For a float x of the problem's dimension and a float array eps of
-        x's shape or 0-d, one predicate guards the whole call: eps >= 0 and
-        t < inf. A finite t needs a finite x and eps, and NaN fails both
-        comparisons, so r(t) is taken without checking t again. Anything
-        else goes through ``check_vector``, ``_check_eps`` and
-        ``penalty_value`` in turn, which raise the errors and warnings that
-        name the array at fault.
+        A direct call (``parts`` None) runs ``check_vector``, ``_check_eps``,
+        ``smooth.value``, the radius with warnings on and ``penalty_value``
+        in turn, which raise the errors and warnings that name the array at
+        fault.
 
-        ``parts``, the solver's ``_Carry``, names what the next step takes:
-        when the predicate accepted x and eps it receives the checked t as
-        ``radius`` and ``smooth._product(x)`` as ``product``, so the next
-        step neither forms nor checks either again; a fallback clears its
-        radius, product and gradient. A product that it comes holding, the
-        one the step formed from the last (``SmoothTerm._damped_product``),
-        is taken in place of a dense ``smooth._product(x)``.
-        The solver passes it only with a finite x and an eps >= 0 and finite,
-        for which only an overflow of t can warn: so t is formed with
-        warnings on, once, and a t that fails the predicate is not formed
-        again. Any other call forms t quietly and, if the predicate fails,
-        once more with warnings after x and eps have passed their checks.
+        ``parts``, the solver's ``_Carry``, selects the check-once path. For
+        a float x of the problem's dimension and a float array eps of x's
+        shape or 0-d, t is formed with warnings on and one predicate guards
+        the whole call: eps >= 0 and t < inf. A finite t needs a finite x
+        and eps, and NaN fails both comparisons, so r(t) is taken without
+        checking t again. The solver passes a finite x and an eps >= 0 and
+        finite, for which only an overflow of t can warn. ``parts`` then
+        receives the checked t as ``radius`` and ``smooth._product(x)`` as
+        ``product``, so the next step neither forms nor checks either again;
+        a product that it comes holding, the one the step formed from the
+        last (``SmoothTerm._damped_product``), is taken in place of a dense
+        ``smooth._product(x)``. Anything else clears its radius, product and
+        gradient and takes the plain checks, with the t already formed.
         """
-        x = np.asarray(x, dtype=float)
-        t = None  # a t formed with warnings on: the checks below take it as it is
-        if (x.shape == (self.dimension,) and type(eps) is np.ndarray
-                and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
-            t = _quietly(radius, x, eps) if parts is None else radius(x, eps)
-            if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
-                r = self.reg._value_in_domain(t)
-                product = None if parts is None else parts.product
-                if product is None:
-                    product = self.smooth._product(x)
-                if parts is not None:
+        t = None
+        if parts is not None:
+            x = np.asarray(x, dtype=float)
+            if (x.shape == (self.dimension,) and type(eps) is np.ndarray
+                    and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
+                t = radius(x, eps)
+                if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
+                    r = self.reg._value_in_domain(t)
+                    product = parts.product
+                    if product is None:
+                        product = self.smooth._product(x)
                     parts.radius, parts.product = t, product
-                return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))
-            if parts is None:  # formed quietly: formed again below, with warnings
-                t = None
-        if parts is not None:  # the next step forms its own
-            parts.radius = parts.product = parts.gradient = None
+                    return self.smooth._value_at(x, product) + self.lam * float(np.add.reduce(r))
+            parts.radius = parts.product = parts.gradient = None  # the next step forms its own
         x = self.check_vector(x)
         eps = self._check_eps(x, eps)
         return self.smooth.value(x) + self.penalty_value(radius(x, eps) if t is None else t)

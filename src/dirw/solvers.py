@@ -68,18 +68,14 @@ def dirl1_weights(x, eps, reg, *, _radius=None):
     The limit is inf for non-Lipschitz regularizers; that only occurs on
     the eps = 0 analysis path since the solver keeps eps > 0. NaN is refused.
 
-    The solver passes ``_radius``: t = |x| + eps as the objective formed and
+    A direct call forms t, checks it and takes the masked path. ``run``'s
+    step passes ``_radius``: t = |x| + eps as the objective formed and
     checked it (t >= 0 and finite) when it accepted x and eps. Only t > 0,
     which r' needs, is then tested; a t_i of 0 takes the masked path.
     """
     t = _radius
     if t is None:
         t = problems._l1_radius(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
-        if t.ndim:
-            try:  # eps > 0 keeps every t_i > 0, which r' checks
-                return reg.derivative(t)
-            except ValueError:  # a t_i of 0 (or not finite) takes the masked path
-                pass
         if (t < 0.0).any():
             raise ValueError("|x_i| + eps_i must be nonnegative")
         if np.isnan(t).any():  # the mask below would give it r'(0+)
@@ -110,17 +106,12 @@ def dirl1_subproblem(center, w, beta, lam, *, _checked=False):
 def dirl2_weights(x, eps, reg, *, _radius=None):
     """u_i = r'(z_i) / (2 z_i) with z_i = sqrt(x_i^2 + eps_i^2); inf at z_i = 0; NaN refused.
 
-    ``_radius`` is z as the objective formed and checked it; see
-    ``dirl1_weights``.
+    ``_radius`` is z as the objective formed and checked it, passed only by
+    ``run``'s step; see ``dirl1_weights``.
     """
     z = _radius
     if z is None:
         z = problems._l2_radius(np.asarray(x, dtype=float), np.asarray(eps, dtype=float))
-        if z.ndim:
-            try:  # eps > 0 keeps every z_i > 0, which r' checks
-                return _over_twice(reg.derivative(z), z)
-            except ValueError:  # a z_i of 0 (or not finite) takes the masked path
-                pass
         if np.isnan(z).any():  # the mask below would give it inf
             raise ValueError("x and eps must not hold NaN")
     elif np.count_nonzero(z) == z.size:
@@ -166,7 +157,7 @@ class SolverConfig:
 
     ``beta > alpha * L / 2`` is additionally required at solve start, where
     L is the gradient Lipschitz constant of the problem's smooth term.
-    ``eps0`` is stored as a float or a tuple of floats.
+    ``eps0`` is stored as a float or a non-empty tuple of floats.
     """
 
     algorithm: str
@@ -185,8 +176,8 @@ class SolverConfig:
         if self.eps_decay not in EPS_DECAY_MODES:
             raise ValueError(f"eps_decay must be one of {EPS_DECAY_MODES}")
         eps0 = real_array("eps0", self.eps0)
-        if eps0.ndim > 1 or not (eps0 > 0.0).all():
-            raise ValueError("eps0 must be a positive number or a list of them")
+        if eps0.ndim > 1 or not eps0.size or not (eps0 > 0.0).all():
+            raise ValueError("eps0 must be a positive number or a non-empty list of them")
         read = {
             "alpha": real("alpha", self.alpha, 0.0, 1.0),
             "beta": real("beta", self.beta, 0.0),
@@ -310,27 +301,26 @@ class _Carry:
 def _step(algorithm, state, config, problem, carry):
     """One damped step x <- (1-alpha) x + alpha y; asserts descent of F(x, eps).
 
-    Each quantity is formed once and each array checked once per iteration.
-    ``carry`` is None or ``run``'s ``_Carry``, whose radius t = |x| + eps
-    (DIRL1) or hypot(x, eps) (DIRL2) and product A x (A x - b) the
-    objective formed and checked (t >= 0 and finite) when it accepted
-    ``state``: the gradient comes from the carried one, else from that
-    product, and the weights take t and test only t > 0. On a term with
-    ``_damped`` set, the step forms the product and gradient at the new x
-    from these and y's support (``SmoothTerm._damped_product``, DIRL1's case
-    once its support is at most m) and hands both on in place of a dense
-    A x and A'r; the objective call refills the carry. Without a carry the
-    step forms and checks both from the state's x and eps, and checks the
-    new eps before the objective call, which takes it to be >= 0 and
-    finite. The subproblem checks the weights only for a penalty other
+    ``carry`` is None or ``run``'s ``_Carry``. With a carry, each quantity
+    is formed once and each array checked once per iteration: the
+    objective formed and checked (t >= 0 and finite) the radius t = |x| +
+    eps (DIRL1) or hypot(x, eps) (DIRL2) and the product A x (A x - b) when
+    it accepted ``state``. The gradient comes from the carried one, else
+    from that product, and the weights take t and test only t > 0. On a
+    term with ``_damped`` set, the step forms the product and gradient at
+    the new x from these and y's support (``SmoothTerm._damped_product``,
+    DIRL1's case once its support is at most m) and hands both on in place
+    of a dense A x and A'r; the objective call refills the carry. Without a
+    carry, the gradient, weights and objective each take their plain
+    checks. The subproblem checks the weights only for a penalty other
     than a built-in ``Regularizer`` (r' values at checked points: >= 0,
     never NaN). A step or F that is not finite raises NumericalFailure.
     """
     x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
-    smooth, checked, bare = problem.smooth, type(reg) is Regularizer, carry is None
-    if bare:  # the objective's, for this step only
-        carry = _Carry()
-    radius, product, grad = carry.radius, carry.product, carry.gradient
+    smooth, checked = problem.smooth, type(reg) is Regularizer
+    radius = product = grad = None
+    if carry is not None:
+        radius, product, grad = carry.radius, carry.product, carry.gradient
     try:
         if grad is None:
             grad = smooth.gradient(x) if product is None else smooth._gradient_at(product)
@@ -351,12 +341,10 @@ def _step(algorithm, state, config, problem, carry):
             raise NumericalFailure(
                 f"step is not finite at iteration {k}: {step_norm!r}", iteration=k
             )
-        if bare:  # checked as the objective's fallback checks it
-            problem._check_eps(problem.check_vector(x_new), eps_new)
-        elif product is not None and smooth._damped:  # A x_new and its gradient from y's support
+        if product is not None and smooth._damped:  # A x_new and its gradient from y's support
             carry.product, carry.gradient = (
                 smooth._damped_product(product, grad, y, config.alpha, carry) or (None, None))
-        else:
+        elif carry is not None:
             carry.product = carry.gradient = None
         if algorithm == "DIRL1":
             F_new = problem.perturbed_value_l1(x_new, eps_new, _parts=carry)
@@ -519,11 +507,11 @@ def make_initial_state(config, problem, x0, *, _carry=None):
     """The k = 0 state of ``config.algorithm``.
 
     Only ``run`` passes ``_carry``, a ``_Carry`` that receives the
-    objective's radius and product for the first step; see ``_step``.
+    objective's radius and product for the first step; see ``_step``. The
+    objective checks x0 on either path.
     """
     x0 = np.array(x0, dtype=float)
     eps = config.initial_eps(problem.dimension)
-    problem.check_vector(x0)  # an objective call with _parts takes x to be finite
     if config.algorithm == "DIRL1":
         F0 = problem.perturbed_value_l1(x0, eps, _parts=_carry)
     else:

@@ -382,6 +382,13 @@ def test_escape_exits_one_on_invalid_config(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+def test_escape_refuses_an_empty_eps0_at_config_load(tmp_path, capsys):
+    cfg = experiment(tmp_path, solver={"algorithm": "DIRL1", "eps0": []})
+    assert main(["escape", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps0" in err and "dimension" not in err
+
+
 def test_escape_counts_non_finite_start_as_failed(tmp_path):
     exp = ExperimentConfig.from_dict({
         "problem": "benchmark2d",

@@ -341,7 +341,7 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
 
 def _count_checks(monkeypatch, config, problem, x0):
     counts = {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 0,
-              "_quietly": 0, "weight check": 0}
+              "weight check": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -355,7 +355,6 @@ def _count_checks(monkeypatch, config, problem, x0):
         m.setattr(regularizers, "_prepare", counting("_prepare", regularizers._prepare))
         for name in ("_l1_radius", "_l2_radius"):
             m.setattr(problems, name, counting("radius", getattr(problems, name)))
-        m.setattr(problems, "_quietly", counting("_quietly", problems._quietly))
         m.setattr(solvers, "_nonnegative", counting("weight check", solvers._nonnegative))
         trace = run(config, problem, x0)
     assert not trace.converged
@@ -371,15 +370,15 @@ def _custom_log():
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 @pytest.mark.parametrize("problem", ["benchmark2d", "least_squares", "custom"])
 def test_each_iteration_checks_one_array(monkeypatch, algorithm, problem):
-    """Per iteration: no x, eps or domain check, one radius formed, no
-    error-state switch, and a weight check only for a custom penalty.
+    """Per iteration: no x, eps or domain check, one radius formed, and a
+    weight check only for a custom penalty.
 
     The objective guards x_new and eps_new with its own single predicate,
-    and its radius, formed with warnings on, goes on to the next step's
-    weights, which test only t > 0. A built-in penalty's weights are r'
-    values at checked points, so the subproblem takes them unchecked. So a
-    check, a second radius or an errstate switch added back into the loop
-    changes these counts.
+    and its radius goes on to the next step's weights, which test only
+    t > 0. A built-in penalty's weights are r' values at checked points, so
+    the subproblem takes them unchecked. So a check or a second radius
+    added back into the loop changes these counts. Error-state switches
+    are not counted: DIRL2's weights enter one on every call (``_over_twice``).
     """
     if problem == "custom":
         prob = Problem(benchmark2d().smooth, _custom_log(), 1.0)
@@ -391,7 +390,7 @@ def test_each_iteration_checks_one_array(monkeypatch, algorithm, problem):
     assert (k_short, k_long) == (20, 40)
     per_iteration = {name: (long[name] - short[name]) / 20 for name in long}
     assert per_iteration == {"check_vector": 0, "_check_eps": 0, "_prepare": 0, "radius": 1,
-                             "_quietly": 0, "weight check": int(problem == "custom")}
+                             "weight check": int(problem == "custom")}
 
 
 def _failing_run(monkeypatch, step, make_initial_state, config, problem, x0):

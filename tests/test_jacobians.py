@@ -112,15 +112,43 @@ def test_dirl2_block_eigenvalue_exactly_one_when_hessian_vanishes():
 
 def test_unstable_check_boundary():
     jac = FixedPointJacobian(
-        algorithm="DIRL1", dimension=1, active=(0,), inactive=(),
-        block_II=np.eye(1), off_IJ=np.zeros((1, 0)), off_Ieps=np.zeros(1),
-        scalar_J=0.8, scalar_eps=0.86, spectrum=np.array([0.5, 1.0]),
+        algorithm="DIRL1", dimension=2, active=(0,), inactive=(1,),
+        block_II=np.eye(1), off_IJ=np.zeros((1, 1)), off_Ieps=np.zeros(1),
+        scalar_J=0.8, scalar_eps=0.86, block_eigenvalues=np.array([1.0]),
     )
     assert not unstable_fixed_point_check(jac)
-    jac.spectrum = np.array([0.9125, 0.8, 0.86, 0.86])
+    jac.block_eigenvalues = np.array([0.9125])
+    assert jac.spectrum.tolist() == [0.8, 0.86, 0.86, 0.9125]
     assert not unstable_fixed_point_check(jac)
-    jac.spectrum = np.array([0.8, 2.307])
+    jac.block_eigenvalues = np.array([2.307])
     assert unstable_fixed_point_check(jac)
+
+
+def _lasso_limit():
+    """A 20 x 40 least-squares problem and its DIRL1 limit, which has
+    inactive coordinates."""
+    gen = np.random.default_rng(3)
+    A = gen.normal(0.0, 1.0 / np.sqrt(20), (20, 40))
+    x_true = np.zeros(40)
+    x_true[:4] = [1.5, -1.0, 2.0, -1.2]
+    prob = Problem(SmoothTerm("least_squares", A, A @ x_true + 0.01 * gen.normal(size=20)),
+                   Regularizer("LPN", 0.5), 0.05)
+    return prob, run(SolverConfig("DIRL1"), prob, np.zeros(40)).limit_x
+
+
+def test_spectrum_keeps_the_bytes_of_its_sorted_union(bench, saddle_x2):
+    """``spectrum`` is formed on read; its bytes are those of the sorted
+    union that the Jacobian once stored, which perfbench hashes."""
+    lasso, limit = _lasso_limit()
+    cases = [(jacobian, bench, [0.0, x2]) for jacobian in (dirl1_jacobian, dirl2_jacobian)
+             for x2 in (saddle_x2, 1.0)] + [(dirl1_jacobian, lasso, limit)]
+    for jacobian, prob, x_star in cases:
+        jac = jacobian(prob, x_star, ALPHA, BETA, MU)
+        stored = np.sort(np.concatenate([jac.block_eigenvalues,
+                                         np.full(len(jac.inactive), 1.0 - ALPHA),
+                                         np.full(prob.dimension, 1.0 - ALPHA * (1.0 - MU))]))
+        assert jac.spectrum.tobytes() == stored.tobytes()
+    assert jac.inactive and jac.active
 
 
 def test_finite_difference_recovers_linear_map(rng):

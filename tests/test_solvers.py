@@ -623,6 +623,14 @@ def test_solver_config_rejects_non_finite(field, value):
         SolverConfig("DIRL1", **{field: value})
 
 
+def test_solver_config_rejects_an_empty_eps0():
+    # an empty list used to pass every entry check and fail only in run
+    with pytest.raises(ValueError, match="^eps0 must be a positive number or a non-empty list"):
+        SolverConfig("DIRL1", eps0=[])
+    with pytest.raises(ValueError, match="^solver config: eps0 "):
+        SolverConfig.from_dict({"algorithm": "DIRL1", "eps0": []})
+
+
 @pytest.mark.parametrize("value", [math.inf, 10.5, True, -1, "100"])
 def test_solver_config_rejects_non_integer_max_iter(value):
     with pytest.raises(ValueError, match="max_iter"):

@@ -116,7 +116,6 @@ FIELDS = [
     "jacobians.FixedPointJacobian.saddle",
     "jacobians.FixedPointJacobian.scalar_J",
     "jacobians.FixedPointJacobian.scalar_eps",
-    "jacobians.FixedPointJacobian.spectrum",
     "regularizers.Assumption1Report.derivative_at_zero_positive",
     "regularizers.Assumption1Report.derivative_nonincreasing",
     "regularizers.Assumption1Report.derivative_nonnegative",
@@ -210,3 +209,29 @@ def test_defaulted_parameters_are_pinned():
 
 def test_dataclass_fields_are_pinned():
     assert _found(_fields) == FIELDS
+
+
+#: The keywords that select the check-once path of the objective, weights,
+#: subproblem and step, and the only functions that may pass them.
+PRIVATE_KEYWORDS = {"_parts", "_radius", "_checked", "_carry"}
+CHECK_ONCE_CALLERS = ["solvers._step", "solvers.make_initial_state", "solvers.run"]
+
+
+def _private_callers(node, prefix):
+    """module.qualname of each function under ``node`` that passes one of
+    PRIVATE_KEYWORDS by name, once per call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _private_callers(child, prefix + child.name + ".")
+            continue
+        if isinstance(child, ast.Call) and any(
+                kw.arg in PRIVATE_KEYWORDS for kw in child.keywords):
+            yield prefix[:-1]
+        yield from _private_callers(child, prefix)
+
+
+def test_run_alone_feeds_the_check_once_path():
+    """Only run, the first state it builds and its step pass the keywords
+    that skip a check; any other caller takes the plain checks."""
+    found = _found(lambda tree, module: _private_callers(tree, f"{module}."))
+    assert sorted(set(found)) == CHECK_ONCE_CALLERS
