@@ -55,16 +55,19 @@ def _signs(x, tol):
     return np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
 
 
+#: Maps the int8 bytes 1, 0 and -1 (0xff) of a sign to b"+", b"0" and b"-".
+_SIGN_CHARS = bytes.maketrans(b"\x01\x00\xff", b"+0-")
+
+
 def _sign_string(x, tol):
     """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``.
 
     ``x > tol`` is ``|x| > tol`` for x > 0 and ``x < -tol`` is for x < 0,
-    since negation is exact; NaN fails both and reads as 0.
+    since negation is exact; NaN fails both and reads as 0. With tol >= 0
+    at most one of them holds, so their difference as int8 is the sign.
     """
-    chars = np.full(x.shape, 48, dtype=np.uint8)  # b"0"
-    chars[x > tol] = 43  # b"+"
-    chars[x < -tol] = 45  # b"-"
-    return chars.tobytes().decode("ascii")
+    signs = (x > tol).view(np.int8) - (x < -tol).view(np.int8)
+    return signs.tobytes().translate(_SIGN_CHARS).decode("ascii")
 
 
 def support(x, tol=SUPPORT_TOL):

@@ -186,6 +186,9 @@ def run_escape(exp):
     One serial pass in initialization order: every start draws from its own
     counter-based stream, is solved, and its limit joins the nearest
     cluster within CLUSTER_RADIUS (the first on a tie) or opens a new one.
+    A start that raises NumericalFailure counts in ``basins["failed"]``, and
+    one that runs out of ``max_iter`` unconverged in ``basins["budget"]``:
+    neither is clustered, classified or counted in ``fraction_at_saddle``.
     """
     problem = resolve_problem(exp.problem)
     n = problem.dimension
@@ -210,16 +213,23 @@ def run_escape(exp):
     labels = [_classify_label(problem, point) for point in points]
     counts = [0] * len(points)
 
-    records, solved = [], []
+    records, solved, unclustered = [], [], {"budget": 0, "failed": 0}
     for i in range(exp.num_inits):
         x0 = lo + (hi - lo) * make_rng(exp.seed, "init", i).random(n)
         try:
             trace = run(exp.solver, problem, x0, record_every=1_000_000_000)
         except NumericalFailure as exc:
+            unclustered["failed"] += 1
             records.append({"init_index": i, "init": x0, "error": str(exc),
                             "iteration": exc.iteration, "basin": "failed"})
             continue
         limit = trace.limit_x
+        if not trace.converged:
+            unclustered["budget"] += 1
+            records.append({"init_index": i, "init": x0, "final_x": trace.final_x,
+                            "limit_x": limit, "converged": False,
+                            "residual": trace.final_residual, "basin": "budget"})
+            continue
         dist = _norms(limit - points)
         best = int(np.argmin(dist)) if dist.size else 0
         distance = float(dist[best]) if dist.size else math.inf
@@ -249,10 +259,8 @@ def run_escape(exp):
     for record, flag in zip(solved, near):
         record["at_saddle"] = flag
 
-    failed = exp.num_inits - len(solved)
     basins = {f"cluster_{j}": count for j, count in enumerate(counts)}
-    if failed:
-        basins["failed"] = failed
+    basins.update((status, count) for status, count in unclustered.items() if count)
     return {
         "num_inits": exp.num_inits,
         "seed": exp.seed,

@@ -304,17 +304,21 @@ class Problem:
 
         ``parts``, the solver's ``_Carry``, selects the check-once path. For
         a float x of the problem's dimension and a float array eps of x's
-        shape or 0-d, t is formed with warnings on and one predicate guards
-        the whole call: eps >= 0 and t < inf. A finite t needs a finite x
-        and eps, and NaN fails both comparisons, so r(t) is taken without
-        checking t again. The solver passes a finite x and an eps >= 0 and
-        finite, for which only an overflow of t can warn. ``parts`` then
-        receives the checked t as ``radius`` and ``smooth._product(x)`` as
-        ``product``, so the next step neither forms nor checks either again;
-        a product that it comes holding, the one the step formed from the
-        last (``SmoothTerm._damped_product``), is taken in place of a dense
-        ``smooth._product(x)``. Anything else clears its radius, product and
-        gradient and takes the plain checks, with the t already formed.
+        shape or 0-d, t is formed with warnings on and one reduction guards
+        the whole call: max(t) < inf. A finite t needs a finite x and eps,
+        and NaN propagates through the maximum and fails the comparison, so
+        r(t) is taken without checking t again. eps >= 0 is not tested
+        here: only ``run`` passes ``parts``, and its eps is
+        ``SolverConfig``'s eps0 > 0 scaled by a factor in (0, 1) at each
+        step, so it stays >= 0 down to an underflow to 0. The solver passes
+        a finite x and such an eps, for which only an overflow of t can
+        warn. ``parts`` then receives the checked t as ``radius`` and
+        ``smooth._product(x)`` as ``product``, so the next step neither
+        forms nor checks either again; a product that it comes holding, the
+        one the step formed from the last (``SmoothTerm._damped_product``),
+        is taken in place of a dense ``smooth._product(x)``. Anything else
+        clears its radius, product and gradient and takes the plain checks,
+        with the t already formed.
         """
         t = None
         if parts is not None:
@@ -322,7 +326,8 @@ class Problem:
             if (x.shape == (self.dimension,) and type(eps) is np.ndarray
                     and eps.dtype is x.dtype and eps.shape in (x.shape, ())):
                 t = radius(x, eps)
-                if np.count_nonzero((eps >= 0.0) & (t < math.inf)) == t.size:
+                # initial: an empty t passes, as it did when each entry was tested.
+                if np.maximum.reduce(t, initial=-math.inf) < math.inf:
                     r = self.reg._value_in_domain(t)
                     product = parts.product
                     if product is None:

@@ -70,8 +70,9 @@ def dirl1_weights(x, eps, reg, *, _radius=None):
 
     A direct call forms t, checks it and takes the masked path. ``run``'s
     step passes ``_radius``: t = |x| + eps as the objective formed and
-    checked it (t >= 0 and finite) when it accepted x and eps. Only t > 0,
-    which r' needs, is then tested; a t_i of 0 takes the masked path.
+    checked it (finite, and >= 0 as run's eps is) when it accepted x and
+    eps. Only t > 0, which r' needs, is then tested; a t_i of 0 takes the
+    masked path.
     """
     t = _radius
     if t is None:
@@ -303,18 +304,19 @@ def _step(algorithm, state, config, problem, carry):
 
     ``carry`` is None or ``run``'s ``_Carry``. With a carry, each quantity
     is formed once and each array checked once per iteration: the
-    objective formed and checked (t >= 0 and finite) the radius t = |x| +
-    eps (DIRL1) or hypot(x, eps) (DIRL2) and the product A x (A x - b) when
-    it accepted ``state``. The gradient comes from the carried one, else
-    from that product, and the weights take t and test only t > 0. On a
-    term with ``_damped`` set, the step forms the product and gradient at
-    the new x from these and y's support (``SmoothTerm._damped_product``,
-    DIRL1's case once its support is at most m) and hands both on in place
-    of a dense A x and A'r; the objective call refills the carry. Without a
-    carry, the gradient, weights and objective each take their plain
-    checks. The subproblem checks the weights only for a penalty other
-    than a built-in ``Regularizer`` (r' values at checked points: >= 0,
-    never NaN). A step or F that is not finite raises NumericalFailure.
+    objective formed and checked (finite; >= 0 as eps is) the radius
+    t = |x| + eps (DIRL1) or hypot(x, eps) (DIRL2) and the product A x
+    (A x - b) when it accepted ``state``. The gradient comes from the
+    carried one, else from that product, and the weights take t and test
+    only t > 0. On a term with ``_damped`` set, the step forms the product
+    and gradient at the new x from these and y's support
+    (``SmoothTerm._damped_product``, DIRL1's case once its support is at
+    most m) and hands both on in place of a dense A x and A'r; the
+    objective call refills the carry. Without a carry, the gradient,
+    weights and objective each take their plain checks. The subproblem
+    checks the weights only for a penalty other than a built-in
+    ``Regularizer`` (r' values at checked points: >= 0, never NaN). A step
+    or F that is not finite raises NumericalFailure.
     """
     x, k, beta, reg = state.x, state.k + 1, config.beta, problem.reg
     smooth, checked = problem.smooth, type(reg) is Regularizer

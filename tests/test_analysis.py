@@ -56,6 +56,43 @@ def test_sign_string_is_the_support_bits(x, tol):
     assert _sign_string(x, tol) == support(x, tol).bits == want
 
 
+def old_sign_string(x, tol):
+    """The fingerprint as it was built before: one byte array, assigned three times."""
+    chars = np.full(x.shape, 48, dtype=np.uint8)  # b"0"
+    chars[x > tol] = 43  # b"+"
+    chars[x < -tol] = 45  # b"-"
+    return chars.tobytes().decode("ascii")
+
+
+#: A quiet NaN with a payload and a negative NaN, beside math.nan.
+NAN_PAYLOADS = tuple(float(np.int64(bits).view(np.float64))
+                     for bits in (0x7FF8_0000_0000_0ABC, -0x0008_0000_0000_0000))
+
+
+@st.composite
+def adversarial_signs(draw):
+    """An array and a tol >= 0 whose entries sit on and next to +-tol, among
+    NaNs of other payloads and signs, signed zeros, subnormals and +-inf;
+    as float64 (contiguous, strided or reversed) or as the int signs that
+    ``SupportPattern.bits`` passes."""
+    tol = draw(st.sampled_from((0.0, 5e-324, SUPPORT_TOL, 1.0, math.inf)) | st.floats(0.0, 1e300))
+    near = (tol, -tol, np.nextafter(tol, math.inf), -np.nextafter(tol, math.inf),
+            np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0))
+    entries = st.sampled_from(near + NAN_PAYLOADS) | SIGN_ENTRIES
+    layout = draw(st.sampled_from(("contiguous", "strided", "reversed", "int")))
+    if layout == "int":
+        return draw(hnp.arrays(np.int64, st.integers(0, 50), elements=st.integers(-1, 1))), tol
+    x = draw(hnp.arrays(np.float64, st.integers(0, 100), elements=entries))
+    return {"contiguous": x, "strided": x[::2], "reversed": x[::-1]}[layout], tol
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=adversarial_signs())
+def test_sign_string_matches_the_three_assignment_construction(case):
+    x, tol = case
+    assert _sign_string(x, tol) == old_sign_string(x, tol)
+
+
 def test_stationarity_at_benchmark_points(bench, saddle_x2):
     rep = stationarity_residual(bench, np.array([0.0, 1.0]))
     assert rep.residual_active == pytest.approx(0.0, abs=1e-14)

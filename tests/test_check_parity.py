@@ -11,13 +11,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dirw.problems import Problem, SmoothTerm
 from dirw.regularizers import FAMILIES, Regularizer, _prepare
 from dirw.solvers import (
+    SolverConfig,
+    _Carry,
     dirl1_weights,
     dirl2_subproblem,
     dirl2_weights,
@@ -333,3 +335,69 @@ def test_perturbed_value_matches_oracle_on_edge_cases(name, method, oracle, x, e
     current = getattr(problem, method)
     assert outcome(current, x, eps) == outcome(oracle, problem, x, eps)
     assert outcome_warned(current, x, eps) == outcome_warned(oracle, problem, x, eps)
+
+
+# -- the check-once path ------------------------------------------------------
+
+CARRY_PROBLEMS = [
+    *OBJECTIVE_PROBLEMS,
+    *(Problem(SmoothTerm("least_squares", [[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]], [0.5, -1.0]),
+              _regularizer(family, 0.5), 0.3) for family in FAMILIES),
+]
+POSITIVE = st.sampled_from((5e-324, 1e-300, 2.2250738585072014e-308, 1.0, 1e308)) | st.floats(
+    5e-324, 1e308)
+
+
+@st.composite
+def scheduled_args(draw):
+    """A problem, an x of its dimension and the eps that ``run`` holds after k
+    steps of a ``SolverConfig`` schedule: a scalar or tuple eps0 > 0 scaled
+    by the damped or geometric factor at each step, as the step scales it,
+    on to entries that underflow to 0."""
+    problem = draw(st.sampled_from(CARRY_PROBLEMS))
+    n = problem.dimension
+    scalar = n == 0 or draw(st.booleans())
+    eps0 = draw(POSITIVE) if scalar else tuple(draw(st.lists(POSITIVE, min_size=n, max_size=n)))
+    config = SolverConfig("DIRL1", alpha=draw(st.sampled_from((0.2, 0.9)) | st.floats(0.01, 0.99)),
+                          mu=draw(st.sampled_from((0.3, 1e-5)) | st.floats(1e-9, 0.99)),
+                          eps0=eps0, eps_decay=draw(st.sampled_from(("damped", "geometric"))))
+    eps = config.initial_eps(n)
+    for _ in range(draw(st.sampled_from((0, 1, 40)) | st.integers(0, 6000))):
+        eps = config.eps_factor * eps
+    return problem, draw(arrays(st.just((n,)))), eps
+
+
+def _warnings_and_outcome(fn, *args):
+    """The sorted warnings that a call gives under numpy's default
+    floating-point handling, and its outcome with warnings ignored."""
+    with np.errstate(all="warn", under="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fn(*args)
+        except Exception:  # the outcome below records it
+            pass
+    return sorted((w.category.__name__, str(w.message)) for w in caught), outcome(fn, *args)
+
+
+@pytest.mark.parametrize("name, method, oracle", OBJECTIVES, ids=[o[0] for o in OBJECTIVES])
+@SETTINGS
+@given(args=scheduled_args())
+@example(args=(OBJECTIVE_PROBLEMS[4], np.array([1e308, 2.0]), np.array([1e308, 0.5])))
+def test_check_once_objective_matches_the_plain_one(name, method, oracle, args):
+    """``run``'s objective call (with a carry), over the eps that a
+    ``SolverConfig`` schedule gives, returns the bits, raises the errors and
+    gives the warnings of a direct call; where both the product and the
+    radius overflow, their warnings come in the other order. A carry that
+    it accepts into holds the radius and product of x and eps."""
+    problem, x, eps = args
+    carry = _Carry()
+    current = getattr(problem, method)
+    checked = _warnings_and_outcome(lambda x, eps: current(x, eps, _parts=carry), x, eps)
+    assert checked == _warnings_and_outcome(current, x, eps)
+    assert checked[1] == outcome(oracle, problem, x, eps)
+    if carry.radius is not None:
+        with np.errstate(all="ignore"):  # a product can overflow where t does not
+            radius = np.abs(x) + eps if name == "l1" else np.hypot(x, eps)
+            product = problem.smooth._product(x)
+        assert carry.radius.tobytes() == radius.tobytes()
+        assert carry.product.tobytes() == product.tobytes()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dirw import solvers
+from dirw import cli, solvers
 from dirw.cli import (
     CLUSTER_RADIUS,
     MAX_NUM_INITS,
@@ -161,16 +161,20 @@ def test_escape_is_deterministic_and_refuses_workers(tmp_path):
     assert exc.value.code == 2
 
 
-def _loop_aggregation(summary, saddle_radius):
+def _loop_aggregation(summary, problem, known, saddle_radius):
     """Cluster and saddle assignment by the per-record loops that
-    ``run_escape`` once used: the reference for its array version."""
-    problem = benchmark2d()
+    ``run_escape`` once used: the reference for its array version. A start
+    that did not converge is counted under "budget" and not clustered."""
     clusters = []
-    for pt in BENCHMARK2D_STATIONARY:
+    for pt in known:
         point = np.asarray(pt, dtype=float)
         clusters.append({"point": point, "label": _classify_label(problem, point), "count": 0})
-    expected = []
+    expected, budget = [], 0
     for rec in summary["records"]:
+        if not rec["converged"]:
+            budget += 1
+            expected.append({"basin": "budget"})
+            continue
         limit = rec["limit_x"]
         best, best_dist = None, math.inf
         for j, cluster in enumerate(clusters):
@@ -187,38 +191,102 @@ def _loop_aggregation(summary, saddle_radius):
                          "nearest_known_point": clusters[best]["point"]})
     saddle_points = [c["point"] for c in clusters if c["label"] == "StrictSaddle"]
     for rec, exp in zip(summary["records"], expected):
-        exp["at_saddle"] = any(
-            float(np.linalg.norm(rec["limit_x"] - p)) <= saddle_radius for p in saddle_points
-        )
+        if "distance" in exp:
+            exp["at_saddle"] = any(
+                float(np.linalg.norm(rec["limit_x"] - p)) <= saddle_radius for p in saddle_points
+            )
     basins = {f"cluster_{j}": c["count"] for j, c in enumerate(clusters)}
-    fraction = sum(exp["at_saddle"] for exp in expected) / len(expected)
+    if budget:
+        basins["budget"] = budget
+    fraction = sum(exp.get("at_saddle", False) for exp in expected) / len(expected)
     return expected, basins, fraction
 
 
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 @pytest.mark.parametrize("saddle_radius", [1e-3, 0.95])
 def test_run_escape_matches_loop_aggregation(algorithm, saddle_radius):
-    # 40 iterations leave the limits unconverged, so they open new clusters;
-    # they lie 0.82 to 1.02 from the saddle, so the wide radius splits them.
+    # At eps0 0.1 and tolerances of 1e-3, 50 iterations let 11 (DIRL1) and 8
+    # (DIRL2) of the 20 starts converge; the rest run out of budget. The
+    # limits stop short of the stationary points, so they join their
+    # clusters at nonzero distances or open new ones; those at the origin
+    # lie 0.043 from the saddle, so the wide radius counts them.
+    # A tilt moves the stationary points off the injected ones, so its
+    # limits open every cluster.
+    for tilt in (None, 0.05):
+        exp = ExperimentConfig.from_dict({
+            "problem": "benchmark2d",
+            "solver": {"algorithm": algorithm, "max_iter": 50, "eps0": 0.1,
+                       "tol_step": 1e-3, "tol_eps": 1e-3},
+            "num_inits": 20,
+            "init_box": [[-3, -3], [3, 3]],
+            "seed": 7,
+            "saddle_radius": saddle_radius,
+            "perturbation_scale": tilt,
+        })
+        summary = run_escape(exp)
+        problem, known = benchmark2d(), BENCHMARK2D_STATIONARY
+        if tilt:
+            problem, known = problem.perturbed_linearly(summary["perturbation"]), ()
+        expected, basins, fraction = _loop_aggregation(summary, problem, known, saddle_radius)
+        assert summary["basins"] == basins and summary["fraction_at_saddle"] == fraction
+        for rec, exp_rec in zip(summary["records"], expected):
+            assert rec["basin"] == exp_rec["basin"]
+            if rec["basin"] == "budget":
+                assert not {"distance", "nearest_known_point", "at_saddle"} & rec.keys()
+                continue
+            assert rec["distance"] == exp_rec["distance"]
+            assert np.array_equal(rec["nearest_known_point"], exp_rec["nearest_known_point"])
+            assert rec["at_saddle"] is exp_rec["at_saddle"]
+        assert 0 < basins["budget"] < 20
+        assert any(rec.get("distance", 0.0) > 0.0 for rec in summary["records"])
+        if tilt:  # the limits opened every cluster
+            assert summary["clusters"] and fraction == 0.0
+        else:
+            assert len(summary["clusters"]) > len(BENCHMARK2D_STATIONARY)
+            assert 0.0 < fraction < 1.0 if saddle_radius > 0.5 else fraction == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 64, 200])
+@pytest.mark.parametrize("shape", [(7,), (3, 4)])
+def test_norms_match_linalg_norm_row_by_row(n, shape):
+    """Each of ``_norms``'s values is ``np.linalg.norm`` of its row to the
+    bit, for a stack of rows and for the (limits, saddles) grid it is given;
+    ``norm(axis=-1)`` sums in another order and differs on most of these."""
+    rng = np.random.default_rng(n)
+    d = rng.standard_normal(shape + (n,)) * rng.choice([1e-3, 1.0, 1e3], size=shape + (n,))
+    got = cli._norms(d)
+    assert got.shape == shape
+    rows = d.reshape(-1, n)
+    assert np.array_equal(got.reshape(-1), [np.linalg.norm(row) for row in rows])
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_escape_counts_unconverged_starts_under_budget(monkeypatch, algorithm):
+    """40 iterations leave every start unconverged (eps alone needs about 150
+    to fall below tol_eps): each counts under "budget", none opens a cluster
+    or is classified, and none counts at the saddle, however wide the radius."""
+    classified = []
+
+    def counted(problem, point):
+        classified.append(point)
+        return _classify_label(problem, point)
+
+    monkeypatch.setattr(cli, "_classify_label", counted)
     exp = ExperimentConfig.from_dict({
         "problem": "benchmark2d",
         "solver": {"algorithm": algorithm, "max_iter": 40},
-        "num_inits": 20,
+        "num_inits": 150,
         "init_box": [[-3, -3], [3, 3]],
         "seed": 7,
-        "saddle_radius": saddle_radius,
+        "saddle_radius": 1.5,
     })
     summary = run_escape(exp)
-    expected, basins, fraction = _loop_aggregation(summary, saddle_radius)
-    assert summary["basins"] == basins and summary["fraction_at_saddle"] == fraction
-    for rec, exp_rec in zip(summary["records"], expected):
-        assert rec["basin"] == exp_rec["basin"]
-        assert rec["distance"] == exp_rec["distance"]
-        assert np.array_equal(rec["nearest_known_point"], exp_rec["nearest_known_point"])
-        assert rec["at_saddle"] is exp_rec["at_saddle"]
-    assert len(basins) > len(BENCHMARK2D_STATIONARY)
-    assert any(rec["distance"] > 0.0 for rec in summary["records"])
-    assert 0.0 < fraction < 1.0 if saddle_radius > 0.5 else fraction == 0.0
+    assert summary["basins"] == {"cluster_0": 0, "cluster_1": 0, "cluster_2": 0, "budget": 150}
+    assert len(summary["clusters"]) == len(classified) == len(BENCHMARK2D_STATIONARY)
+    assert summary["fraction_at_saddle"] == 0.0
+    for rec in summary["records"]:
+        assert rec["basin"] == "budget" and rec["converged"] is False
+        assert np.isfinite(rec["residual"]) and rec["limit_x"].shape == (2,)
 
 
 def test_escape_seed_changes_output(tmp_path):

@@ -59,8 +59,9 @@ def old_model(algorithm, problem, x, eps, beta):
 def old_perturbed_value(algorithm, problem, x, eps):
     x = problem.check_vector(x)
     eps = problem._check_eps(x, eps)
+    value = problem.smooth.value(x)  # before the radius: its warnings come first
     t = np.abs(x) + eps if algorithm == "DIRL1" else np.hypot(x, eps)
-    return problem.smooth.value(x) + problem.penalty_value(t)
+    return value + problem.penalty_value(t)
 
 
 def old_descent_check(F_old, F_new, k):
@@ -479,3 +480,18 @@ def test_step_from_an_unchecked_eps_warns_as_the_old_kernel(algorithm, eps_1):
     assert want == [("raised", ValueError, "eps must be nonnegative and finite"), [],
                     ("raised", ValueError, "eps must be nonnegative and finite")]
     assert warned(solvers._step, algorithm, state, config, problem, None) == want
+
+
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_objective_where_product_and_radius_overflow_warns_as_the_old_kernel(algorithm):
+    """x0 = [1e308, 2], eps0 = [1e308, 0.5] on a diagonal quadratic: x'A x
+    overflows, and so does DIRL1's t_1 = |x_1| + eps_1 (DIRL2's hypot does
+    not). A direct objective call, as the old kernel made it, warns of the
+    product's overflow first (the "dot"), then of DIRL1's radius."""
+    problem = Problem(SmoothTerm("quadratic", np.diag([1.0, 2.0]), np.full(2, -0.5), 0.25),
+                      Regularizer("LPN", 0.5), 0.7)
+    config, x0 = SolverConfig(algorithm, eps0=(1e308, 0.5)), np.array([1e308, 2.0])
+    want = warned(old_make_initial_state, config, problem, x0)
+    assert [str(message) for _, message in want[1]][:1] == ["overflow encountered in dot"]
+    assert want[2] == ("raised", RuntimeWarning, "overflow encountered in dot")
+    assert warned(solvers.make_initial_state, config, problem, x0) == want

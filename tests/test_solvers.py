@@ -845,3 +845,15 @@ def test_trace_jsonl_lines_are_json_dumps(states):
         with open(path, "rb") as fh:
             assert fh.read() == _oracle_lines(states)
 
+
+def test_trace_jsonl_of_a_run_with_an_eps0_tuple(tmp_path):
+    """A run from an eps0 of two distinct values, whose eps underflows to 0."""
+    problem = _small_least_squares()
+    eps0 = tuple(1e-300 if i % 3 else 0.5 for i in range(problem.dimension))
+    config = SolverConfig("DIRL2", eps0=eps0, mu=1e-3, eps_decay="geometric", max_iter=120,
+                          tol_step=5e-324)
+    trace = run(config, problem, np.zeros(problem.dimension), trace_full=True)
+    assert not trace.states[-1][1].any() and trace.states[3][1].any()
+    path = tmp_path / "states.jsonl"
+    trace_states_to_jsonl(trace, path)
+    assert path.read_bytes() == _oracle_lines(trace.states)
