@@ -686,14 +686,38 @@ def trace_to_csv(trace, path):
         )
 
 
-def _json_floats(v):
-    """``json.dumps(v.tolist())`` for a float64 vector. A non-empty vector whose
-    entries all hold one bit pattern (so -0.0 is not 0.0, nor one NaN payload
-    another) formats that value once; any other takes one C-level encode."""
-    bits = v.view(np.int64)
-    if bits.size and (bits == bits[0]).all():
-        return "[" + ", ".join([json.dumps(v[:1].tolist())[1:-1]] * bits.size) + "]"
-    return json.dumps(v.tolist())
+#: The states file is formatted this many floats (x and eps together) at a
+#: time, or one state at a time where a state holds more. The kernel's
+#: working arrays take about 300 bytes a float; at 2**16 floats the
+#: solve-trace file took about 1.4x as long to write as at this size.
+_JSONL_CHUNK = 1 << 13
+
+
+def _json_rows(rows):
+    """The text between the brackets of ``json.dumps(v.tolist())`` for each
+    float64 row ``v``. A non-empty row whose entries all hold one bit pattern
+    (so -0.0 is not 0.0, nor one NaN payload another) formats that value once;
+    a row holding a NaN or an infinity takes ``json.dumps``; the others go to
+    ``_floatrepr.reprs`` as one concatenation."""
+    from ._floatrepr import reprs  # only a states file needs the kernel and its tables
+
+    sizes = np.array([v.size for v in rows])
+    flat = np.concatenate(rows, dtype=np.float64)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+
+    def per_row(mask):
+        counts = np.concatenate(([0], np.cumsum(mask)))
+        return counts[bounds[1:]] - counts[bounds[:-1]]
+
+    bits = flat.view(np.int64)
+    filled = sizes > 0
+    uniform = filled & (per_row(bits != np.repeat(bits[bounds[:-1][filled]], sizes[filled])) == 0)
+    own = uniform | (per_row(~np.isfinite(flat)) > 0)
+    bulk = iter(reprs(flat[np.repeat(~own, sizes)], sizes[~own]))
+    return [next(bulk) if not o
+            else ", ".join([json.dumps(v[:1].tolist())[1:-1]] * v.size) if u
+            else json.dumps(v.tolist())[1:-1]
+            for v, u, o in zip(rows, uniform.tolist(), own.tolist())]
 
 
 def trace_states_to_jsonl(trace, path):
@@ -701,10 +725,25 @@ def trace_states_to_jsonl(trace, path):
     states do not start at k = 0 (a bare run past TAIL_WINDOW) is refused.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
-    eps.tolist()})``. The lines are streamed, never joined into one string.
+    eps.tolist()})``. The states are formatted in chunks of ``_JSONL_CHUNK``
+    floats and each chunk's lines streamed, never joined into one string.
     """
     if len(trace.states) != trace.iterations + 1:
         raise ValueError("trace does not start at k = 0; rerun with trace_full=True")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f'{{"k": {k}, "x": {_json_floats(x)}, "eps": {_json_floats(eps)}}}\n'
-                      for k, (x, eps) in enumerate(trace.states))
+        for start, stop in _chunks(trace.states):
+            texts = _json_rows([v for state in trace.states[start:stop] for v in state])
+            fh.writelines(f'{{"k": {k}, "x": [{x}], "eps": [{eps}]}}\n'
+                          for k, x, eps in zip(range(start, stop), texts[::2], texts[1::2]))
+
+
+def _chunks(states):
+    """(start, stop) of each run of states that holds at most ``_JSONL_CHUNK``
+    floats, or of a single state that holds more."""
+    start, floats = 0, 0
+    for k, (x, eps) in enumerate(states):
+        if floats and floats + x.size + eps.size > _JSONL_CHUNK:
+            yield start, k
+            start, floats = k, 0
+        floats += x.size + eps.size
+    yield start, len(states)

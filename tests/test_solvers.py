@@ -19,6 +19,7 @@ from dirw.errors import ConfigValidationError, NumericalFailure
 from dirw.problems import Problem, SmoothTerm, benchmark2d
 from dirw.regularizers import FAMILIES, CustomRegularizer, Regularizer
 from dirw.solvers import (
+    _JSONL_CHUNK,
     ALGORITHMS,
     TAIL_WINDOW,
     IterateState,
@@ -857,3 +858,25 @@ def test_trace_jsonl_of_a_run_with_an_eps0_tuple(tmp_path):
     path = tmp_path / "states.jsonl"
     trace_states_to_jsonl(trace, path)
     assert path.read_bytes() == _oracle_lines(trace.states)
+
+
+def test_trace_jsonl_over_several_chunks_is_json_dumps(tmp_path):
+    """Ragged and empty rows, uniform and non-uniform eps rows, rows with NaN
+    and infinities, and states larger than a chunk, first and later, over
+    several chunks."""
+    rng = np.random.default_rng(29)
+    states = []
+    for k in range(90):
+        n = int(rng.integers(1, 300)) if k % 7 else 0
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        eps = np.full(n, 0.9**k) if k % 3 else rng.random(n) * 10.0 ** -k
+        states.append((x, eps))
+    states[5] = (np.array([1.0, math.nan, -math.inf, -0.0]), np.array([math.inf, 0.25, 0.25]))
+    states[6] = (np.full(3, math.nan), np.array([0.0, -0.0, 5e-324]))
+    for k in (0, 40):
+        states[k] = (rng.standard_normal(_JSONL_CHUNK + 1), np.full(_JSONL_CHUNK + 1, 1e-3))
+    assert sum(x.size + eps.size for x, eps in states) > 5 * _JSONL_CHUNK
+    trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
+    path = tmp_path / "states.jsonl"
+    trace_states_to_jsonl(trace, path)
+    assert path.read_bytes() == _oracle_lines(states)
