@@ -1,18 +1,19 @@
 """``repr`` of many finite float64 values at once, with numpy.
 
 ``reprs(values, lengths)`` gives, for each row of ``values`` (split by
-``lengths``), the text between the brackets of ``json.dumps(row.tolist())``:
-each entry's ``repr``, joined by ``", "``.
+``lengths``), the text between the brackets of ``json.dumps(row.tolist())``
+as ASCII bytes: each entry's ``repr``, joined by ``", "``.
 
 The shortest digits come from Ryu (Adams, PLDI 2018) on uint64 arrays. What
 depends only on the binary exponent (the 125-bit power of five, the shift,
 the decimal exponent, the trailing-zero tests) is read from tables indexed by
 it. The one 53 x 125-bit product per value is formed from 32-bit limbs; the
 interval ends vp and vm add and subtract the multiplier before the shift.
-Ryu's digit-removal loop becomes a binary search over powers of ten. The text
-follows ``float.__repr__``: positional when -4 < decpt <= 16, else
+Ryu's digit-removal loop becomes four tests with scalar divisors and, for the
+few values that drop more digits, a binary search over powers of ten. The
+text follows ``float.__repr__``: positional when -4 < decpt <= 16, else
 ``d.ddde+XX``. Each value is laid out in a fixed-width byte row padded with
-NULs, and one pass drops the NULs.
+NULs, and one pass over the bytes drops the NULs.
 
 Integer arrays are explicitly uint64 or int64 (numpy promotes a mix of the
 two to float64), and no shift reaches 64 bits.
@@ -25,6 +26,7 @@ _MASK32 = 0xFFFF_FFFF
 
 #: 10**t for t = 0..19 (10**20 does not fit in 64 bits).
 _P10 = np.array([10**t for t in range(20)], dtype=_U64)
+_E4 = _P10[4]
 
 #: The four ASCII digits of 0..9999, each followed by an all-ones byte.
 _DIGITS4 = np.full((10000, 8), 255, dtype=np.uint8)
@@ -155,14 +157,27 @@ def shortest(bits):
     vp = vp - vp_out
 
     # Drop the digits the interval does not need (vp // 10**t > vm // 10**t
-    # exactly when vp % 10**t < vp - vm), then, where vm is an accepted exact
-    # decimal, the trailing zeros it still has.
+    # exactly when vp % 10**t < vp - vm, which once false stays false). Most
+    # values drop at most 3, so t = 1..4 are tested with scalar divisors (%
+    # has no fast path, // does) and the search runs only where 4 still holds.
+    # Then, where vm is an accepted exact decimal, drop the trailing zeros it
+    # still has.
     gap = vp - vm
-    cut = _largest(lambda p: vp % p < gap)
-    vm_tz &= vm % _P10[cut] == 0
+    cut = np.zeros(bits.shape, dtype=np.intp)
+    for p in _P10[1:5]:
+        holds = vp - vp // p * p < gap
+        cut += holds
+    deep = np.flatnonzero(holds)
+    if deep.size:
+        vp_deep, gap_deep = vp[deep], gap[deep]
+        cut[deep] = _largest(lambda p: vp_deep % p < gap_deep)
     more = np.flatnonzero(vm_tz)
     if more.size:
-        rest = vm[more] // _P10[cut[more]]
+        rest = vm[more]
+        exact = rest % _P10[cut[more]] == 0
+        vm_tz[more] = exact
+        more = more[exact]
+        rest = rest[exact] // _P10[cut[more]]
         cut[more] += _largest(lambda p: rest % p == 0)
     p = _P10[cut]
     out = vr // p
@@ -170,7 +185,7 @@ def shortest(bits):
     below = _P10[np.maximum(cut - 1, 0)]
     last = removed // below  # 0 where nothing was removed
     # A removed tail of exactly 5 followed by zeros rounds to even.
-    tie = vr_tz & (removed == 5 * below) & (out % 2 == 0)
+    tie = vr_tz & (removed == 5 * below) & ((out & 1) == 0)
     # vm // p == out, as vm <= vr
     up = ((vm >= out * p) & ~(even & vm_tz)) | ((last >= 5) & ~tie)
     return np.where(zero, 0, out + up), np.where(zero, 0, _E10.take(ex) + cut)
@@ -178,7 +193,8 @@ def shortest(bits):
 
 def reprs(values, lengths):
     """For each row of the finite float64 ``values`` (row r holds the next
-    ``lengths[r]`` entries), ``", ".join(map(repr, row.tolist()))``."""
+    ``lengths[r]`` entries), ``", ".join(map(repr, row.tolist()))`` as ASCII
+    bytes."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(_U64)
     out, exp = shortest(bits)
     ndig = np.maximum(np.searchsorted(_P10, out, side="right"), 1)
@@ -204,8 +220,9 @@ def reprs(values, lengths):
     rows[:, 0] = (bits >> 63).astype(np.uint8) * np.uint8(45)
     groups = np.empty((5, n), dtype=np.intp)
     for g in range(4, -1, -1):
-        groups[g] = out % 10000
-        out = out // 10000
+        rest = out // _E4
+        groups[g] = out - rest * _E4
+        out = rest
     mask = _MASKS.take(22 * shown + dot + 1, axis=0)
     rows[:, 1:3] = mask[:, :2]
     rows[:, 3:43] = _DIGITS4.take(groups.T, axis=0).reshape(n, 40) & mask[:, 2:]
@@ -213,5 +230,5 @@ def reprs(values, lengths):
     lengths = np.asarray(lengths, dtype=np.intp)
     rows[np.cumsum(lengths)[lengths > 0] - 1, 49:] = 10, 0
 
-    texts = iter(rows.tobytes().translate(None, b"\0").decode("ascii").split("\n"))
-    return [next(texts) if k else "" for k in lengths.tolist()]
+    texts = iter(rows.tobytes().translate(None, b"\0").split(b"\n"))
+    return [next(texts) if k else b"" for k in lengths.tolist()]

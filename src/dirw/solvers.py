@@ -688,36 +688,42 @@ def trace_to_csv(trace, path):
 
 #: The states file is formatted this many floats (x and eps together) at a
 #: time, or one state at a time where a state holds more. The kernel's
-#: working arrays take about 300 bytes a float; at 2**16 floats the
-#: solve-trace file took about 1.4x as long to write as at this size.
+#: working arrays peak at about 315 bytes a float it formats (a uniform row
+#: sends it one); at 2**16 floats the solve-trace file took about 1.4x as
+#: long to write as at this size.
 _JSONL_CHUNK = 1 << 13
 
 
 def _json_rows(rows):
-    """The text between the brackets of ``json.dumps(v.tolist())`` for each
-    float64 row ``v``. A non-empty row whose entries all hold one bit pattern
-    (so -0.0 is not 0.0, nor one NaN payload another) formats that value once;
-    a row holding a NaN or an infinity takes ``json.dumps``; the others go to
-    ``_floatrepr.reprs`` as one concatenation."""
+    """The bytes between the brackets of ``json.dumps(v.tolist())`` for each
+    float64 row ``v``. A row that holds a NaN or an infinity takes
+    ``json.dumps``; the others go to ``_floatrepr.reprs`` as one
+    concatenation, except that a non-empty row whose entries all hold one bit
+    pattern (so -0.0 is not 0.0) sends that value once and repeats its text."""
     from ._floatrepr import reprs  # only a states file needs the kernel and its tables
 
     sizes = np.array([v.size for v in rows])
     flat = np.concatenate(rows, dtype=np.float64)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-
-    def per_row(mask):
-        counts = np.concatenate(([0], np.cumsum(mask)))
-        return counts[bounds[1:]] - counts[bounds[:-1]]
-
-    bits = flat.view(np.int64)
+    starts = np.cumsum(sizes) - sizes
     filled = sizes > 0
-    uniform = filled & (per_row(bits != np.repeat(bits[bounds[:-1][filled]], sizes[filled])) == 0)
-    own = uniform | (per_row(~np.isfinite(flat)) > 0)
-    bulk = iter(reprs(flat[np.repeat(~own, sizes)], sizes[~own]))
-    return [next(bulk) if not o
-            else ", ".join([json.dumps(v[:1].tolist())[1:-1]] * v.size) if u
-            else json.dumps(v.tolist())[1:-1]
-            for v, u, o in zip(rows, uniform.tolist(), own.tolist())]
+    uniform, special = np.zeros((2, sizes.size), dtype=bool)
+    if filled.any():  # a reduceat at the non-empty rows' starts reduces each row
+        bits, firsts = flat.view(np.int64), starts[filled]
+        uniform[filled] = np.minimum.reduceat(bits, firsts) == np.maximum.reduceat(bits, firsts)
+        finite = np.isfinite(flat)
+        if not finite.all():
+            special[filled] = ~np.logical_and.reduceat(finite, firsts)
+    sent = np.repeat(~(special | uniform), sizes)
+    sent[starts[uniform & ~special]] = True
+    bulk = iter(reprs(flat[sent], np.where(uniform, 1, sizes)[~special]))
+    texts = []
+    for v, u, s in zip(rows, uniform.tolist(), special.tolist()):
+        if s:
+            texts.append(json.dumps(v.tolist())[1:-1].encode())
+        else:
+            text = next(bulk)
+            texts.append((text + b", ") * (v.size - 1) + text if u else text)
+    return texts
 
 
 def trace_states_to_jsonl(trace, path):
@@ -725,16 +731,17 @@ def trace_states_to_jsonl(trace, path):
     states do not start at k = 0 (a bare run past TAIL_WINDOW) is refused.
 
     Each line is exactly ``json.dumps({"k": k, "x": x.tolist(), "eps":
-    eps.tolist()})``. The states are formatted in chunks of ``_JSONL_CHUNK``
-    floats and each chunk's lines streamed, never joined into one string.
+    eps.tolist()})`` with a ``\\n`` ending. The states are formatted in chunks
+    of ``_JSONL_CHUNK`` floats, and each chunk's lines are built as bytes and
+    written with one call; the whole file is never held in memory.
     """
     if len(trace.states) != trace.iterations + 1:
         raise ValueError("trace does not start at k = 0; rerun with trace_full=True")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for start, stop in _chunks(trace.states):
             texts = _json_rows([v for state in trace.states[start:stop] for v in state])
-            fh.writelines(f'{{"k": {k}, "x": [{x}], "eps": [{eps}]}}\n'
-                          for k, x, eps in zip(range(start, stop), texts[::2], texts[1::2]))
+            fh.write(b"".join([b'{"k": %d, "x": [%b], "eps": [%b]}\n' % line for line in
+                               zip(range(start, stop), texts[::2], texts[1::2])]))
 
 
 def _chunks(states):

@@ -13,7 +13,7 @@ def _bits(x):
 
 def _texts(patterns, lengths):
     values = np.asarray(patterns, dtype=np.uint64).view(np.float64)
-    return reprs(values, lengths)
+    return [text.decode("ascii") for text in reprs(values, lengths)]
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -58,7 +58,7 @@ def test_bulk_sweep_matches_repr_row_by_row():
     lengths = np.diff(np.concatenate(([0], cuts, [values.size])))
     assert (lengths == 0).any()
 
-    texts = reprs(values, lengths)
+    texts = [text.decode("ascii") for text in reprs(values, lengths)]
     bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
     expected = [", ".join(map(repr, values[a:b].tolist())) for a, b in zip(bounds[:-1], bounds[1:])]
     assert texts == expected

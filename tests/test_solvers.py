@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import types
@@ -847,6 +848,35 @@ def test_trace_jsonl_lines_are_json_dumps(states):
             assert fh.read() == _oracle_lines(states)
 
 
+#: Any finite float64, from its 64-bit pattern: signed zeros and subnormals included.
+FINITE_FLOATS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF).map(
+    lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(uniform=st.lists(st.tuples(FINITE_FLOATS, st.integers(1, 50)), min_size=1, max_size=12),
+       others=st.lists(state_vectors(), max_size=6), order=st.randoms(use_true_random=False))
+def test_trace_jsonl_uniform_rows_keep_their_own_values(uniform, others, order):
+    """Rows of one finite bit pattern each send one value to the kernel; mixed
+    in one chunk with bulk, NaN/inf and empty rows, every row gets its own
+    value back. 0.0 and -0.0 rows sit side by side, so rows merged by value
+    instead of by bit pattern show."""
+    rows = [np.full(n, value) for value, n in uniform] + others
+    rows += [np.full(3, math.nan), np.array([1.5, -math.inf]), np.zeros(0)]
+    order.shuffle(rows)
+    rows[:0] = [np.zeros(2), np.full(4, -0.0)]
+    if len(rows) % 2:
+        rows.append(np.full(5, 0.25))
+    states = list(zip(rows[::2], rows[1::2]))
+    assert sum(x.size + eps.size for x, eps in states) <= _JSONL_CHUNK
+    trace = types.SimpleNamespace(states=states, iterations=len(states) - 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "states.jsonl")
+        trace_states_to_jsonl(trace, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _oracle_lines(states)
+
+
 def test_trace_jsonl_of_a_run_with_an_eps0_tuple(tmp_path):
     """A run from an eps0 of two distinct values, whose eps underflows to 0."""
     problem = _small_least_squares()
@@ -880,3 +910,45 @@ def test_trace_jsonl_over_several_chunks_is_json_dumps(tmp_path):
     path = tmp_path / "states.jsonl"
     trace_states_to_jsonl(trace, path)
     assert path.read_bytes() == _oracle_lines(states)
+
+
+#: escape with each algorithm, a least-squares run with classify and a solve
+#: without --trace-full, all under the directory argv[1]; prints whether the
+#: float kernel got imported.
+NO_STATES_FILE = """
+import json, os, sys
+import numpy as np
+from dirw.analysis import classify_stationary_point
+from dirw.cli import main
+from dirw.problems import Problem, SmoothTerm
+from dirw.regularizers import Regularizer
+from dirw.solvers import SolverConfig, run
+
+experiment = os.path.join(sys.argv[1], "experiment.json")
+for algorithm in ("DIRL1", "DIRL2"):
+    with open(experiment, "w") as fh:
+        json.dump({"problem": "benchmark2d", "solver": {"algorithm": algorithm}, "num_inits": 2,
+                   "init_box": [[-3, -3], [3, 3]], "seed": 3}, fh)
+    assert main(["escape", "--config", experiment,
+                 "--out", os.path.join(sys.argv[1], "escape.json")]) == 0
+gen = np.random.default_rng(5)
+A = gen.normal(size=(30, 60)) / np.sqrt(30)
+problem = Problem(SmoothTerm("least_squares", A, gen.normal(size=30)),
+                  Regularizer("LPN", 0.5), 0.05)
+classify_stationary_point(problem, run(SolverConfig("DIRL1"), problem, np.zeros(60)).final_x)
+assert main(["solve", "--x0", "3,3", "--out", os.path.join(sys.argv[1], "run")]) == 0
+print("dirw._floatrepr" in sys.modules)
+"""
+
+
+def test_only_a_states_file_imports_the_float_kernel(tmp_path):
+    """Work that writes no states file leaves dirw._floatrepr unimported, in a
+    fresh interpreter: it has tables to build and nothing else needs it."""
+    import dirw
+
+    src = os.path.dirname(os.path.dirname(dirw.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", NO_STATES_FILE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
