@@ -40,6 +40,12 @@ TAIL_WINDOW = 64
 #: Relative slack allowed on the per-step descent assertion.
 DESCENT_SLACK = 1e-10
 
+#: ``run`` copies each iteration's step and prox center into a block of rows
+#: of at most this many floats (one row where a step holds more) and reduces
+#: a block at a time, for the telescoped bound and the prox-center bound,
+#: which it reads only after the loop.
+_BLOCK_FLOATS = 1 << 12
+
 
 def soft_threshold(z, w):
     """Componentwise sign(z_i) * max(|z_i| - w_i, 0); w_i = inf maps to 0.
@@ -226,9 +232,18 @@ class IterateState:
     y: np.ndarray
     F_perturbed: float
     step_norm: float
-    prox_center_inf: float = math.nan
+    #: x_prev - grad(x_prev)/beta, the prox center of the step that produced
+    #: this state (None for a start).
+    center: np.ndarray = None
     #: x - x_prev, the step that produced this state (None for a start).
     step: np.ndarray = None
+
+    @property
+    def prox_center_inf(self):
+        """||center||_inf; NaN for a start."""
+        if self.center is None:
+            return math.nan
+        return float(np.maximum.reduce(np.abs(self.center)))
 
 
 @dataclass(frozen=True)
@@ -336,7 +351,7 @@ def _step(algorithm, state, config, problem, carry):
         x_new = (1.0 - config.alpha) * x + config.alpha * y
         eps_new = config.eps_factor * state.eps
         dx = x_new - x
-        # Here and in run, ufunc reductions skip the Python frame of .max and .sum.
+        # Here and in _fold_block, ufunc reductions skip the Python frame of .max and .sum.
         step_norm = float(np.maximum.reduce(np.abs(dx)))
         # An eps that broadcasts x to another shape is left to the objective.
         if not math.isfinite(step_norm) and x_new.shape == np.shape(x):
@@ -358,8 +373,7 @@ def _step(algorithm, state, config, problem, carry):
         problem.check_vector(x)
         raise
     _descent_check(state.F_perturbed, F_new, k)
-    return IterateState(k, x_new, eps_new, y, F_new, step_norm,
-                        float(np.maximum.reduce(np.abs(center))), dx)
+    return IterateState(k, x_new, eps_new, y, F_new, step_norm, center, dx)
 
 
 def dirl1_step(state, config, problem, *, _carry=None):
@@ -532,6 +546,25 @@ def _record(state, eps_inf):
     )
 
 
+def _fold_block(steps, centers, sum_sq_steps, C):
+    """Add each step's squared norm to ``sum_sq_steps`` in iteration order
+    and raise ``C`` to each center's max-norm. ``steps`` and ``centers``
+    are C-ordered blocks with one row per iteration; both are overwritten.
+
+    A row-wise reduction of a C-ordered block gives each row the bits of
+    its own 1-D reduction, so the results are those of
+    ``sum_sq_steps += float(np.add.reduce(step * step))`` and
+    ``C = max(C, prox_center_inf)`` taken one iteration at a time; a NaN
+    max-norm leaves C as it is in both.
+    """
+    if len(steps):
+        np.multiply(steps, steps, out=steps)
+        for sq in np.add.reduce(steps, axis=1).tolist():
+            sum_sq_steps += sq
+        C = max(C, *np.maximum.reduce(np.abs(centers, out=centers), axis=1).tolist())
+    return sum_sq_steps, C
+
+
 def _post_run_diagnostics(config, problem, L, C):
     diag = {"lipschitz_gradient": L, "prox_center_bound": C}
     reg = problem.reg
@@ -585,6 +618,9 @@ def run(config, problem, x0, trace_full=False, record_every=1):
     F0, factor, eps_inf = state.F_perturbed, config.eps_factor, float(state.eps.max())
     records = [_record(state, eps_inf)]
     history = deque([(state.x, state.eps)], maxlen=None if trace_full else TAIL_WINDOW)
+    # One row per iteration: the steps and centers that _fold_block has yet to reduce.
+    rows = max(1, _BLOCK_FLOATS // x0.size)
+    steps, centers, filled = np.empty((rows, x0.size)), np.empty((rows, x0.size)), 0
     sum_sq_steps = 0.0
     C = -math.inf
     converged = False
@@ -594,8 +630,12 @@ def run(config, problem, x0, trace_full=False, record_every=1):
         state = step_fn(state, config, problem, _carry=carry)
         # The step scales eps by factor too; rounding is monotone, so this is eps.max() to the bit.
         eps_inf = factor * eps_inf
-        sum_sq_steps += float(np.add.reduce(state.step * state.step))
-        C = max(C, state.prox_center_inf)
+        steps[filled] = state.step
+        centers[filled] = state.center
+        filled += 1
+        if filled == rows:
+            sum_sq_steps, C = _fold_block(steps, centers, sum_sq_steps, C)
+            filled = 0
         history.append((state.x, state.eps))
         # A small step counts only if it is no larger than the last: near a
         # strict saddle the steps grow by the unstable mode's factor.
@@ -608,6 +648,7 @@ def run(config, problem, x0, trace_full=False, record_every=1):
             converged = True
             break
 
+    sum_sq_steps, C = _fold_block(steps[:filled], centers[:filled], sum_sq_steps, C)
     if state.k > 0:
         lower = (config.beta / config.alpha - L / 2.0) * sum_sq_steps
         drop = F0 - state.F_perturbed

@@ -30,6 +30,7 @@ from dirw.solvers import (
     run,
     soft_threshold,
 )
+from oracles import old_dirl2_subproblem, old_perturbed_value
 
 # -- oracle: the kernel as it was ---------------------------------------------
 
@@ -39,14 +40,6 @@ def old_dirl1_subproblem(x, grad, w, beta, lam):
     return soft_threshold(x - grad / beta, lam * np.asarray(w, dtype=float) / beta)
 
 
-def old_dirl2_subproblem(x, grad, u, beta, lam):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not (u >= 0.0).all():
-        raise ValueError("weights must be nonnegative")
-    return np.where(np.isinf(u), 0.0, (x - grad / beta) / (1.0 + (2.0 * lam / beta) * u))
-
-
 def old_model(algorithm, problem, x, eps, beta):
     grad = problem.smooth.gradient(x)
     if algorithm == "DIRL1":
@@ -54,14 +47,6 @@ def old_model(algorithm, problem, x, eps, beta):
         return grad, old_dirl1_subproblem(x, grad, w, beta, problem.lam)
     u = dirl2_weights(x, eps, problem.reg)
     return grad, old_dirl2_subproblem(x, grad, u, beta, problem.lam)
-
-
-def old_perturbed_value(algorithm, problem, x, eps):
-    x = problem.check_vector(x)
-    eps = problem._check_eps(x, eps)
-    value = problem.smooth.value(x)  # before the radius: its warnings come first
-    t = np.abs(x) + eps if algorithm == "DIRL1" else np.hypot(x, eps)
-    return value + problem.penalty_value(t)
 
 
 def old_descent_check(F_old, F_new, k):
@@ -123,7 +108,7 @@ def old_step(algorithm, state, config, problem, carry=None):
         y=y,
         F_perturbed=F_new,
         step_norm=step_norm,
-        prox_center_inf=float(np.abs(x - grad / config.beta).max()),
+        center=x - grad / config.beta,
         step=x_new - x,  # what the run loop formed as state.x - prev.x
     )
 
@@ -230,7 +215,9 @@ def _carry_bits(carry):
 def test_step_matches_old_step(algorithm, eps_decay, beta):
     """Every field of every state, the step that the telescoped bound sums
     and the radius and product carried to the next step too, which no
-    output of run shows. A step without a carry steps to the same bits."""
+    output of run shows. A step without a carry steps to the same bits,
+    and its state's ``prox_center_inf`` is the max-norm of the center (NaN
+    for a start)."""
     config = SolverConfig(algorithm, beta=beta, eps_decay=eps_decay)
     for problem, x0 in [(benchmark2d(), np.array([3.0, 3.0])),
                         (benchmark2d(), np.array([-0.4, 1e-3])),
@@ -239,11 +226,14 @@ def test_step_matches_old_step(algorithm, eps_decay, beta):
         state = solvers.make_initial_state(config, problem, x0, _carry=carry)
         assert _state_bits(state) == _state_bits(old_make_initial_state(config, problem, x0))
         assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, x0, state.eps))
+        assert math.isnan(state.prox_center_inf)
         for _ in range(60):
             bare = solvers._step(algorithm, state, config, problem, None)
             new = solvers._step(algorithm, state, config, problem, carry)
-            assert _state_bits(new) == _state_bits(old_step(algorithm, state, config, problem))
+            want = old_step(algorithm, state, config, problem)
+            assert _state_bits(new) == _state_bits(want)
             assert _state_bits(bare) == _state_bits(new)
+            assert repr(bare.prox_center_inf) == repr(float(np.abs(want.center).max()))
             assert _carry_bits(carry) == _bits(old_parts(algorithm, problem, new.x, new.eps))
             state = new
 
@@ -309,19 +299,36 @@ def test_run_fails_where_old_kernel_fails(monkeypatch, algorithm):
         assert fingerprint(config, problem, x0) == want
 
 
+#: (problem, x0, max_iter) for the blocked-reduction tests: benchmark2d's 5
+#: steps fill part of one block; least squares at n = 50, where numpy's
+#: pairwise summation engages, runs 200 steps over blocks of
+#: solvers._BLOCK_FLOATS // 50 rows.
+BLOCK_CASES = {
+    "benchmark2d": (benchmark2d, np.array([3.0, 3.0]), 5),
+    "least_squares": (_least_squares, np.random.default_rng(6).normal(size=50), 200),
+}
+
+
 @pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
 def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
     """Steps that move x without lowering F break the telescoped bound; run
-    must raise it with the bound summed from the steps, as it always did."""
-    problem, config = benchmark2d(), SolverConfig(algorithm, max_iter=5)
-    state = solvers.make_initial_state(config, problem, np.array([3.0, 3.0]))
-    sum_sq = 0.0
-    for _ in range(5):
-        new = old_step(algorithm, state, config, problem)
-        dx = new.x - state.x
-        sum_sq += float((dx * dx).sum())
-        state = new
-    lower = (config.beta / config.alpha - 2.0 / 2.0) * sum_sq  # L = 2
+    must raise it with the bound summed from the steps one at a time, as it
+    always did, though it reduces them a block at a time."""
+    want = {}
+    for case, (make_problem, x0, max_iter) in BLOCK_CASES.items():
+        problem, config = make_problem(), SolverConfig(algorithm, max_iter=max_iter)
+        state = solvers.make_initial_state(config, problem, x0)
+        sum_sq = 0.0
+        for _ in range(max_iter):
+            new = old_step(algorithm, state, config, problem)
+            dx = new.x - state.x
+            sum_sq += float((dx * dx).sum())
+            state = new
+        L = solvers.validate_config(config, problem).lipschitz_gradient
+        lower = (config.beta / config.alpha - L / 2.0) * sum_sq
+        want[case] = (f"telescoped descent bound violated at iteration {max_iter}: "
+                      f"drop={0.0!r} < {lower!r}")
+    assert BLOCK_CASES["least_squares"][2] > solvers._BLOCK_FLOATS // 50  # more than one block
     step = solvers._step
 
     def flat_step(algorithm, state, config, problem, carry):
@@ -330,11 +337,37 @@ def test_telescoped_bound_sums_the_steps(monkeypatch, algorithm):
         return new
 
     monkeypatch.setattr(solvers, "_step", flat_step)
-    with pytest.raises(NumericalFailure) as err:
-        run(config, problem, np.array([3.0, 3.0]))
-    assert str(err.value) == (f"telescoped descent bound violated at iteration 5: "
-                              f"drop={0.0!r} < {lower!r}")
-    assert err.value.iteration == 5
+    for case, (make_problem, x0, max_iter) in BLOCK_CASES.items():
+        with pytest.raises(NumericalFailure) as err:
+            run(SolverConfig(algorithm, max_iter=max_iter), make_problem(), x0)
+        assert str(err.value) == want[case]
+        assert err.value.iteration == max_iter
+
+
+@pytest.mark.parametrize("block_floats", [None, 14])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+@pytest.mark.parametrize("algorithm", ["DIRL1", "DIRL2"])
+def test_prox_center_bound_is_the_largest_center(monkeypatch, algorithm, case, block_floats):
+    """diagnostics["prox_center_bound"] holds, to the bit, the largest
+    ||x - grad/beta||_inf over the steps, taken one step at a time, though
+    run reduces the centers a block at a time: over several full blocks and
+    a partial last one, at the default block size and at 14 floats (7 rows
+    of benchmark2d, 1 of least squares)."""
+    if block_floats is not None:
+        monkeypatch.setattr(solvers, "_BLOCK_FLOATS", block_floats)
+    make_problem, x0, max_iter = BLOCK_CASES[case]
+    if case == "benchmark2d":
+        max_iter = 100_000  # to convergence, some 250 steps
+    problem, config = make_problem(), SolverConfig(algorithm, max_iter=max_iter)
+    trace = run(config, problem, x0)
+    if (case, block_floats) != ("benchmark2d", None):  # that run is one partial block
+        assert trace.iterations > 2 * max(1, solvers._BLOCK_FLOATS // problem.dimension)
+    state, C = old_make_initial_state(config, problem, x0), -math.inf
+    for _ in range(trace.iterations):
+        grad = problem.smooth.gradient(state.x)
+        C = max(C, float(np.abs(state.x - grad / config.beta).max()))
+        state = old_step(algorithm, state, config, problem)
+    assert trace.diagnostics["prox_center_bound"].hex() == C.hex()
 
 
 # -- validation at the boundary --------------------------------------------------

@@ -127,9 +127,9 @@ FIELDS = [
     "regularizers.Assumption4Report.ratio_vanishes",
     "regularizers.Assumption4Report.weight_diverges",
     "solvers.IterateState.F_perturbed",
+    "solvers.IterateState.center",
     "solvers.IterateState.eps",
     "solvers.IterateState.k",
-    "solvers.IterateState.prox_center_inf",
     "solvers.IterateState.step",
     "solvers.IterateState.step_norm",
     "solvers.IterateState.x",
