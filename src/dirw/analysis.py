@@ -50,24 +50,23 @@ class SupportPattern:
         return _sign_string(self.signs, 0.0)
 
 
-def _signs(x, tol):
-    """sign(x_i) where |x_i| > tol, else 0 (NaN included), as integers."""
-    return np.where(np.abs(x) > tol, np.sign(x), 0.0).astype(int)
-
-
 #: Maps the int8 bytes 1, 0 and -1 (0xff) of a sign to b"+", b"0" and b"-".
 _SIGN_CHARS = bytes.maketrans(b"\x01\x00\xff", b"+0-")
 
 
-def _sign_string(x, tol):
-    """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``.
+def _int8_signs(x, tol):
+    """sign(x_i) where |x_i| > tol, else 0 (NaN included), as int8.
 
     ``x > tol`` is ``|x| > tol`` for x > 0 and ``x < -tol`` is for x < 0,
     since negation is exact; NaN fails both and reads as 0. With tol >= 0
     at most one of them holds, so their difference as int8 is the sign.
     """
-    signs = (x > tol).view(np.int8) - (x < -tol).view(np.int8)
-    return signs.tobytes().translate(_SIGN_CHARS).decode("ascii")
+    return (x > tol).view(np.int8) - (x < -tol).view(np.int8)
+
+
+def _sign_string(x, tol):
+    """The support fingerprint: ``_sign_string(x, tol) == support(x, tol).bits``."""
+    return _int8_signs(x, tol).tobytes().translate(_SIGN_CHARS).decode("ascii")
 
 
 def support(x, tol=SUPPORT_TOL):
@@ -75,7 +74,7 @@ def support(x, tol=SUPPORT_TOL):
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     x = np.asarray(x, dtype=float)
-    signs = _signs(x, tol)
+    signs = _int8_signs(x, tol).astype(np.int64)
     active = tuple(np.flatnonzero(signs).tolist())
     inactive = tuple(np.flatnonzero(signs == 0).tolist())
     return SupportPattern(active=active, inactive=inactive, signs=signs)
@@ -164,13 +163,41 @@ def symmetric_eigen(M):
 
 @dataclass(frozen=True)
 class SaddleReport:
+    """The restricted Hessian H of a stationary point and its ascending
+    spectrum; the extreme eigenvalues and the label are read off it.
+
+    With delta = DEGENERACY_DELTA the label is StrictLocalMin when
+    lambda_min > delta, StrictSaddle when lambda_min < -delta, Degenerate in
+    between. An empty active set means the quadratic form ranges over the
+    trivial subspace, so the point is a (possibly spurious) strict local
+    minimum by convention: lambda_min = inf and lambda_max = -inf.
+    ``negative_definite`` reports the stronger all-eigenvalues-negative
+    condition, false on an empty set; it does not affect the label.
+    """
+
     restricted: np.ndarray
     eigenvalues: np.ndarray
-    lambda_min: float
-    lambda_max: float
-    classification: str
-    negative_definite: bool
     pattern: SupportPattern
+
+    @property
+    def lambda_min(self):
+        return float(self.eigenvalues[0]) if self.eigenvalues.size else math.inf
+
+    @property
+    def lambda_max(self):
+        return float(self.eigenvalues[-1]) if self.eigenvalues.size else -math.inf
+
+    @property
+    def classification(self):
+        if self.lambda_min > DEGENERACY_DELTA:
+            return CLASS_STRICT_LOCAL_MIN
+        if self.lambda_min < -DEGENERACY_DELTA:
+            return CLASS_STRICT_SADDLE
+        return CLASS_DEGENERATE
+
+    @property
+    def negative_definite(self):
+        return bool(self.eigenvalues.size) and self.lambda_max < -DEGENERACY_DELTA
 
     def to_dict(self):
         return {
@@ -184,16 +211,9 @@ class SaddleReport:
 
 
 def classify_stationary_point(prob, x, tol_residual=RESIDUAL_TOL):
-    """Label a stationary point via the restricted Hessian spectrum.
-
-    With delta = DEGENERACY_DELTA: StrictLocalMin when lambda_min > delta,
-    StrictSaddle when lambda_min < -delta, Degenerate in between. An empty
-    active set means the quadratic form ranges over the trivial subspace,
-    so the point is a (possibly spurious) strict local minimum by
-    convention.
-    ``negative_definite`` reports the stronger all-eigenvalues-negative
-    condition; it does not affect the label.
-    """
+    """Label a stationary point via the restricted Hessian spectrum (see
+    ``SaddleReport``); a point that is not stationary raises
+    NonStationaryPointError."""
     x = np.asarray(x, dtype=float)
     report = stationarity_residual(prob, x, tol_residual)
     if not report.is_stationary:
@@ -202,42 +222,13 @@ def classify_stationary_point(prob, x, tol_residual=RESIDUAL_TOL):
             f"margin={report.margin_inactive:.3e}",
             residual=report.residual_active,
         )
-    pattern = report.pattern
-    H = restricted_hessian(prob, x, pattern)
-    if H.shape[0] == 0:
-        return SaddleReport(
-            restricted=H,
-            eigenvalues=np.zeros(0),
-            lambda_min=math.inf,
-            lambda_max=-math.inf,
-            classification=CLASS_STRICT_LOCAL_MIN,
-            negative_definite=False,
-            pattern=pattern,
-        )
-    vals, _ = symmetric_eigen(H)
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    if lam_min > DEGENERACY_DELTA:
-        label = CLASS_STRICT_LOCAL_MIN
-    elif lam_min < -DEGENERACY_DELTA:
-        label = CLASS_STRICT_SADDLE
-    else:
-        label = CLASS_DEGENERATE
-    return SaddleReport(
-        restricted=H,
-        eigenvalues=vals,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        classification=label,
-        negative_definite=lam_max < -DEGENERACY_DELTA,
-        pattern=pattern,
-    )
+    H = restricted_hessian(prob, x, report.pattern)
+    return SaddleReport(restricted=H, eigenvalues=symmetric_eigen(H)[0], pattern=report.pattern)
 
 
 def hessian_norm(report):
-    """Spectral norm of the restricted Hessian in a SaddleReport."""
-    if report.eigenvalues.size == 0:
-        return 0.0
-    return float(max(abs(report.lambda_min), abs(report.lambda_max)))
+    """Spectral norm of the restricted Hessian in a SaddleReport (0 when empty)."""
+    return float(np.abs(report.eigenvalues).max(initial=0.0))
 
 
 def check_support_identification(trace, window):

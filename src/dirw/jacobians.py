@@ -15,7 +15,8 @@ eigenvalue magnitude exceeds 1, which happens iff H (equivalently
 P^-1 H, P being positive diagonal) has a negative eigenvalue: saddles
 repel the iteration. Each Jacobian is therefore built on the
 classification of x* (``classify_stationary_point``): its stationarity
-gate, its support, its H and, for DIRL1 (P = I), the spectrum of H.
+gate, its support, its H and, for DIRL1 (P = I), the spectrum of H. The
+Jacobian keeps that classification and reads the verdict off the two.
 """
 
 import math
@@ -32,7 +33,7 @@ from .analysis import (
     CLASS_STRICT_SADDLE,
 )
 from .errors import NumericalFailure
-from .solvers import eps_factor
+from .solvers import SolverConfig
 
 #: Eigenvalue magnitudes above 1 + INSTABILITY_DELTA make a fixed point unstable.
 INSTABILITY_DELTA = 1e-10
@@ -40,19 +41,38 @@ INSTABILITY_DELTA = 1e-10
 
 @dataclass
 class FixedPointJacobian:
-    algorithm: str
-    dimension: int
-    active: tuple
-    inactive: tuple
+    """DT at (x*, 0) for ``config``'s algorithm, built on the classification
+    ``saddle`` of x*. Its verdict: a strict saddle must be unstable, and a
+    strict local minimum with alpha < beta/rho (rho = ``hessian_norm(saddle)``)
+    must have a contracting active block; a mismatch is ``consistent`` false."""
+
+    config: SolverConfig
+    saddle: SaddleReport
     block_II: np.ndarray
     off_IJ: np.ndarray
     off_Ieps: np.ndarray
-    scalar_J: float
-    scalar_eps: float
     #: The active block's eigenvalues.
     block_eigenvalues: np.ndarray
-    #: The SaddleReport of x* that the block is built on, set by dirl{1,2}_jacobian.
-    saddle: SaddleReport = None
+
+    @property
+    def active(self):
+        return self.saddle.pattern.active
+
+    @property
+    def inactive(self):
+        return self.saddle.pattern.inactive
+
+    @property
+    def dimension(self):
+        return self.saddle.pattern.signs.size
+
+    @property
+    def scalar_J(self):
+        return 1.0 - self.config.alpha
+
+    @property
+    def scalar_eps(self):
+        return self.config.eps_factor
 
     @property
     def spectrum(self):
@@ -61,6 +81,31 @@ class FixedPointJacobian:
         return np.sort(np.concatenate([self.block_eigenvalues,
                                        np.full(len(self.inactive), self.scalar_J),
                                        np.full(self.dimension, self.scalar_eps)]))
+
+    @property
+    def alpha_below_beta_over_rho(self):
+        rho = hessian_norm(self.saddle)
+        return rho == 0.0 or self.config.alpha < self.config.beta / rho
+
+    @property
+    def detail(self):
+        """The rule that ``consistent`` applies at x*."""
+        label = self.saddle.classification
+        if label == CLASS_STRICT_SADDLE:
+            return "strict saddle must be unstable"
+        if label == CLASS_STRICT_LOCAL_MIN and self.alpha_below_beta_over_rho:
+            return "strict local minimum must have contracting active block"
+        return "no assertion for this classification/parameter regime"
+
+    @property
+    def consistent(self):
+        label = self.saddle.classification
+        if label == CLASS_STRICT_SADDLE:
+            return unstable_fixed_point_check(self)
+        if label == CLASS_STRICT_LOCAL_MIN and self.alpha_below_beta_over_rho:
+            return (bool(np.all(np.abs(self.block_eigenvalues) < 1.0))
+                    and not unstable_fixed_point_check(self))
+        return True
 
     def assemble_full(self):
         """Dense DT on R^(2n) in natural (x, eps) coordinate order."""
@@ -77,7 +122,7 @@ class FixedPointJacobian:
         return full
 
 
-def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
+def _stationary_jacobian(config, prob, x_star):
     """DT at (x*, 0), built on the classification of x*.
 
     ``classify_stationary_point`` gates x* (a non-stationary point raises
@@ -89,12 +134,12 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
     x_star = np.asarray(x_star, dtype=float)
     saddle = classify_stationary_point(prob, x_star)
     act, inact = list(saddle.pattern.active), list(saddle.pattern.inactive)
+    algorithm, alpha, beta = config.algorithm, config.alpha, config.beta
     if algorithm == "DIRL2" and inact and math.isfinite(prob.reg.derivative_at_zero_plus()):
         raise ValueError(
             "weighted-l2 fixed-point Jacobian requires r'(0+) = inf or an "
             "empty inactive set"
         )
-    n = prob.dimension
     H = saddle.restricted
     P = np.ones(len(act))
     vals = saddle.eigenvalues
@@ -112,29 +157,26 @@ def _stationary_jacobian(algorithm, prob, x_star, alpha, beta, mu, eps_decay):
         xa = x_star[act]
         rpp = np.atleast_1d(prob.reg.second_derivative(np.abs(xa)))
         off_Ieps = -(alpha / beta) * prob.lam * rpp * np.sign(xa)
-    scalar_eps = eps_factor(alpha, mu, eps_decay)
     return FixedPointJacobian(
-        algorithm=algorithm,
-        dimension=n,
-        active=tuple(act),
-        inactive=tuple(inact),
+        config=config,
+        saddle=saddle,
         block_II=block,
         off_IJ=off_IJ,
         off_Ieps=off_Ieps,
-        scalar_J=1.0 - alpha,
-        scalar_eps=scalar_eps,
         block_eigenvalues=1.0 - (alpha / beta) * vals,
-        saddle=saddle,
     )
 
 
 def dirl1_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
-    """DT of the damped weighted-l1 map at (x*, 0)."""
-    return _stationary_jacobian("DIRL1", prob, x_star, alpha, beta, mu, eps_decay)
+    """DT of the damped weighted-l1 map at (x*, 0); the parameters are read
+    as by ``SolverConfig``, which raises ValueError naming a bad one."""
+    return _stationary_jacobian(SolverConfig("DIRL1", alpha, beta, mu, eps_decay=eps_decay),
+                                prob, x_star)
 
 
 def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
-    """DT of the damped weighted-l2 map at (x*, 0).
+    """DT of the damped weighted-l2 map at (x*, 0), parameters read as by
+    ``dirl1_jacobian``.
 
     Valid when r'(0+) = inf or the inactive set is empty (otherwise x*
     need not be a fixed point of the weighted-l2 map). The active block is
@@ -142,7 +184,8 @@ def dirl2_jacobian(prob, x_star, alpha, beta, mu, eps_decay="damped"):
     P_ii = 1 + (lam/beta) r'(|x_i*|)/|x_i*|; its eigenvalues are computed
     through the symmetric congruence P^-1/2 H P^-1/2, which shares them.
     """
-    return _stationary_jacobian("DIRL2", prob, x_star, alpha, beta, mu, eps_decay)
+    return _stationary_jacobian(SolverConfig("DIRL2", alpha, beta, mu, eps_decay=eps_decay),
+                                prob, x_star)
 
 
 def finite_difference_jacobian(map_fn, point, h=1e-6, columns=None):
@@ -238,51 +281,17 @@ def unstable_fixed_point_check(jac):
     return bool(np.any(np.abs(jac.spectrum) > 1.0 + INSTABILITY_DELTA))
 
 
-@dataclass
-class EquivalenceReport:
-    classification: str
-    unstable: bool
-    block_eigenvalues: np.ndarray
-    rho: float
-    alpha_below_beta_over_rho: bool
-    consistent: bool
-    detail: str
-
-
 def saddle_unstable_equivalence(prob, x_star, alpha, beta, mu, algorithm):
-    """Cross-check the saddle label against fixed-point instability.
+    """The damped Jacobian of ``algorithm`` at x*, which carries the
+    saddle/instability verdict (see ``FixedPointJacobian``).
 
-    A strict saddle must be an unstable fixed point; a strict local
-    minimum with alpha < beta/rho must have every active-block eigenvalue
-    magnitude below 1. Any mismatch is reported, not raised.
-
-    The Jacobian is built damped. The verdict reads only its active block and
-    1 - alpha, since both eps_decay modes' relaxation factors are below 1.
+    The parameters are read as by ``SolverConfig``, so an unknown algorithm
+    raises ValueError before either Jacobian is built. The verdict does not
+    depend on the relaxation mode, since both modes' factors are below 1.
     """
-    jacobian = dirl1_jacobian if algorithm == "DIRL1" else dirl2_jacobian
-    jac = jacobian(prob, x_star, alpha, beta, mu)
-    report = jac.saddle
-    unstable = unstable_fixed_point_check(jac)
-    rho = hessian_norm(report)
-    alpha_ok = rho == 0.0 or alpha < beta / rho
-    if report.classification == CLASS_STRICT_SADDLE:
-        consistent = unstable
-        detail = "strict saddle must be unstable"
-    elif report.classification == CLASS_STRICT_LOCAL_MIN and alpha_ok:
-        consistent = bool(np.all(np.abs(jac.block_eigenvalues) < 1.0)) and not unstable
-        detail = "strict local minimum must have contracting active block"
-    else:
-        consistent = True
-        detail = "no assertion for this classification/parameter regime"
-    return EquivalenceReport(
-        classification=report.classification,
-        unstable=unstable,
-        block_eigenvalues=jac.block_eigenvalues,
-        rho=rho,
-        alpha_below_beta_over_rho=alpha_ok,
-        consistent=consistent,
-        detail=detail,
-    )
+    config = SolverConfig(algorithm, alpha, beta, mu)
+    jacobian = dirl1_jacobian if config.algorithm == "DIRL1" else dirl2_jacobian
+    return jacobian(prob, x_star, alpha, beta, mu)
 
 
 def estimate_map_lipschitz(config, problem, points):

@@ -151,13 +151,6 @@ def dirl2_subproblem(center, u, beta, lam, *, _checked=False):
     return np.where(np.isinf(u), 0.0, center / (1.0 + scale * u))
 
 
-def eps_factor(alpha, mu, eps_decay):
-    """Per-step relaxation factor: 1 - alpha(1 - mu) when damped, else mu."""
-    if eps_decay == "damped":
-        return 1.0 - alpha * (1.0 - mu)
-    return mu
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Algorithm choice and iteration parameters, read and range-checked once.
@@ -199,8 +192,11 @@ class SolverConfig:
 
     @cached_property
     def eps_factor(self):
-        """The per-step relaxation factor, computed on first read."""
-        return eps_factor(self.alpha, self.mu, self.eps_decay)
+        """Per-step relaxation factor, computed on first read: 1 - alpha(1 - mu)
+        when damped, else mu."""
+        if self.eps_decay == "damped":
+            return 1.0 - self.alpha * (1.0 - self.mu)
+        return self.mu
 
     def initial_eps(self, n):
         if isinstance(self.eps0, float):

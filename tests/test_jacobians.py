@@ -6,8 +6,10 @@ import pytest
 from dirw.analysis import (
     CLASS_STRICT_LOCAL_MIN,
     CLASS_STRICT_SADDLE,
+    SaddleReport,
     classify_stationary_point,
     hessian_norm,
+    support,
     symmetric_eigen,
 )
 from dirw.cli import _tail_sample_points
@@ -111,11 +113,14 @@ def test_dirl2_block_eigenvalue_exactly_one_when_hessian_vanishes():
 
 
 def test_unstable_check_boundary():
+    saddle = SaddleReport(restricted=np.zeros((1, 1)), eigenvalues=np.zeros(1),
+                          pattern=support([1.0, 0.0]))
     jac = FixedPointJacobian(
-        algorithm="DIRL1", dimension=2, active=(0,), inactive=(1,),
+        config=SolverConfig("DIRL1", ALPHA, BETA, MU), saddle=saddle,
         block_II=np.eye(1), off_IJ=np.zeros((1, 1)), off_Ieps=np.zeros(1),
-        scalar_J=0.8, scalar_eps=0.86, block_eigenvalues=np.array([1.0]),
+        block_eigenvalues=np.array([1.0]),
     )
+    assert (jac.dimension, jac.active, jac.inactive) == (2, (0,), (1,))
     assert not unstable_fixed_point_check(jac)
     jac.block_eigenvalues = np.array([0.9125])
     assert jac.spectrum.tolist() == [0.8, 0.86, 0.86, 0.9125]
@@ -328,16 +333,84 @@ def test_no_eigenvalue_near_zero(bench, saddle_x2):
 
 def test_saddle_unstable_equivalence(bench, saddle_x2):
     eq = saddle_unstable_equivalence(bench, [0.0, saddle_x2], ALPHA, BETA, MU, "DIRL1")
-    assert eq.classification == CLASS_STRICT_SADDLE
-    assert eq.unstable and eq.consistent
+    assert eq.saddle.classification == CLASS_STRICT_SADDLE
+    assert unstable_fixed_point_check(eq) and eq.consistent
+    assert eq.detail == "strict saddle must be unstable"
     eq2 = saddle_unstable_equivalence(bench, [0.0, 1.0], ALPHA, BETA, MU, "DIRL1")
-    assert eq2.classification == CLASS_STRICT_LOCAL_MIN
-    assert not eq2.unstable and eq2.consistent
+    assert eq2.saddle.classification == CLASS_STRICT_LOCAL_MIN
+    assert not unstable_fixed_point_check(eq2) and eq2.consistent
     assert eq2.alpha_below_beta_over_rho
+    assert eq2.detail == "strict local minimum must have contracting active block"
     eq3 = saddle_unstable_equivalence(bench, [0.0, saddle_x2], ALPHA, BETA, MU, "DIRL2")
     eq4 = saddle_unstable_equivalence(bench, [0.0, 1.0], ALPHA, BETA, MU, "DIRL2")
-    assert (eq3.classification, eq4.classification) == (eq.classification, eq2.classification)
-    assert eq3.unstable and eq3.consistent and not eq4.unstable and eq4.consistent
+    assert (eq3.config.algorithm, eq4.config.algorithm) == ("DIRL2", "DIRL2")
+    assert ((eq3.saddle.classification, eq4.saddle.classification)
+            == (eq.saddle.classification, eq2.saddle.classification))
+    assert unstable_fixed_point_check(eq3) and eq3.consistent
+    assert not unstable_fixed_point_check(eq4) and eq4.consistent
+
+
+def test_equivalence_refuses_an_unknown_algorithm(bench, saddle_x2):
+    # "dirl1" once fell through to the DIRL2 Jacobian
+    with pytest.raises(ValueError, match="^algorithm must be one of"):
+        saddle_unstable_equivalence(bench, [0.0, saddle_x2], ALPHA, BETA, MU, "dirl1")
+
+
+@pytest.mark.parametrize("jacobian", [dirl1_jacobian, dirl2_jacobian])
+def test_jacobian_refuses_an_unknown_eps_decay(bench, jacobian):
+    # "Damped" once read as geometric, giving scalar_eps = mu
+    with pytest.raises(ValueError, match="^eps_decay must be one of"):
+        jacobian(bench, [0.0, 1.0], ALPHA, BETA, MU, eps_decay="Damped")
+
+
+@pytest.mark.parametrize("jacobian", [dirl1_jacobian, dirl2_jacobian])
+def test_jacobian_refuses_a_negative_beta(bench, jacobian):
+    with pytest.raises(ValueError, match="^beta must be a finite number"):
+        jacobian(bench, [0.0, 1.0], ALPHA, -BETA, MU)
+
+
+def _on_axis_roots(reg):
+    """The roots in (0, 2] of 2(x2 - 5/4) + r'(x2), the on-axis stationarity
+    condition of benchmark2d's smooth term at lambda = 1, by bisection."""
+    def g(t):
+        return 2.0 * (t - 1.25) + float(reg.derivative(t))
+
+    grid = np.linspace(1e-6, 2.0, 4001)
+    values = np.array([g(t) for t in grid])
+    roots = []
+    for i in np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:])):
+        lo, hi = grid[i], grid[i + 1]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (g(mid) > 0.0) == (g(lo) > 0.0) else (lo, mid)
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+@pytest.mark.parametrize("family, p, saddle_x2, minimum_x2, saddle_rho, minimum_rho", [
+    ("EXP", 3.0, 0.0839, 1.2103, 1.2498, 0.9119),
+    ("LOG", 3.0, 0.1023, 0.8143, 1.1634, 0.9380),
+    ("FRA", 0.3, 0.0542, 1.1817, 1.5753, 0.9092),
+    ("TAN", 0.3, 0.2427, 1.1425, 1.2284, 0.9176),
+    ("LPN", 0.5, 0.0429, 1.0, 2.3071, 0.9125),
+])
+def test_verdict_across_the_penalty_class(bench, family, p, saddle_x2, minimum_x2,
+                                          saddle_rho, minimum_rho):
+    """DIRL1's verdict holds at the on-axis saddle and the upper minimum of
+    benchmark2d's smooth term under each built-in penalty at lambda = 1."""
+    reg = Regularizer(family, p)
+    prob = Problem(bench.smooth, reg, 1.0)
+    saddle, minimum = _on_axis_roots(reg)
+    assert (saddle, minimum) == pytest.approx((saddle_x2, minimum_x2), abs=1e-4)
+    at_saddle = dirl1_jacobian(prob, [0.0, saddle], ALPHA, BETA, MU)
+    at_minimum = dirl1_jacobian(prob, [0.0, minimum], ALPHA, BETA, MU)
+    assert at_saddle.consistent and at_minimum.consistent
+    assert at_saddle.saddle.classification == CLASS_STRICT_SADDLE
+    assert unstable_fixed_point_check(at_saddle)
+    assert np.abs(at_saddle.block_eigenvalues).max() == pytest.approx(saddle_rho, abs=1e-4)
+    assert at_minimum.saddle.classification == CLASS_STRICT_LOCAL_MIN
+    assert at_minimum.alpha_below_beta_over_rho and not unstable_fixed_point_check(at_minimum)
+    assert np.abs(at_minimum.block_eigenvalues).max() == pytest.approx(minimum_rho, abs=1e-4)
 
 
 def test_dirl2_boundary_partials_vanish(bench):
@@ -464,20 +537,20 @@ def test_jacobian_is_built_on_one_classification(bench, saddle_x2, jacobian):
         assert jac.saddle.classification == direct.classification
         assert jac.saddle.eigenvalues.tobytes() == direct.eigenvalues.tobytes()
         assert jac.saddle.restricted.tobytes() == direct.restricted.tobytes()
-        assert jac.saddle.pattern.active == jac.active
+        assert hessian_norm(jac.saddle) == hessian_norm(direct)
         if jacobian is dirl1_jacobian:
             # P = I: the block eigenvalues are the spectral map of H's eigenvalues
             expected = 1.0 - (ALPHA / BETA) * jac.saddle.eigenvalues
             assert jac.block_eigenvalues.tobytes() == expected.tobytes()
-        eq = saddle_unstable_equivalence(prob, x_star, ALPHA, BETA, MU, jac.algorithm)
-        assert eq.classification == direct.classification
-        assert eq.rho == hessian_norm(direct)
+        eq = saddle_unstable_equivalence(prob, x_star, ALPHA, BETA, MU, jac.config.algorithm)
+        assert eq.saddle.classification == direct.classification
         assert eq.block_eigenvalues.tobytes() == jac.block_eigenvalues.tobytes()
         assert eq.consistent
-        # the verdict, built damped, holds for the geometric-decay Jacobian too
+        # the verdict does not depend on the relaxation mode
         geometric = jacobian(prob, x_star, ALPHA, BETA, MU, eps_decay="geometric")
         assert geometric.scalar_eps == MU != jac.scalar_eps
-        assert eq.unstable == unstable_fixed_point_check(geometric)
+        assert unstable_fixed_point_check(eq) == unstable_fixed_point_check(geometric)
+        assert (geometric.consistent, geometric.detail) == (eq.consistent, eq.detail)
         assert geometric.block_eigenvalues.tobytes() == eq.block_eigenvalues.tobytes()
         labels.add(direct.classification)
     assert labels == {CLASS_STRICT_LOCAL_MIN, CLASS_STRICT_SADDLE}

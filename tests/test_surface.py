@@ -1,9 +1,10 @@
-"""The public names, the defaulted parameters and the dataclass fields of
-``dirw`` are pinned.
+"""The public names, the defaulted parameters and the dataclass fields and
+properties of ``dirw`` are pinned.
 
-A new export, parameter default or field has to be added to the lists
-below on purpose, so a knob that nothing sets, or a result field that
-copies another, cannot slip in unnoticed.
+A new export, parameter default, field or property has to be added to the
+lists below on purpose, so a knob that nothing sets, a result field that
+copies another, or a derived fact that is dropped or stored again, cannot
+slip in unnoticed.
 """
 
 import ast
@@ -76,11 +77,7 @@ DEFAULTED = [
 
 #: Every dataclass field in src/dirw, as module.Class.field.
 FIELDS = [
-    "analysis.SaddleReport.classification",
     "analysis.SaddleReport.eigenvalues",
-    "analysis.SaddleReport.lambda_max",
-    "analysis.SaddleReport.lambda_min",
-    "analysis.SaddleReport.negative_definite",
     "analysis.SaddleReport.pattern",
     "analysis.SaddleReport.restricted",
     "analysis.StationarityReport.is_stationary",
@@ -98,24 +95,12 @@ FIELDS = [
     "cli.ExperimentConfig.saddle_radius",
     "cli.ExperimentConfig.seed",
     "cli.ExperimentConfig.solver",
-    "jacobians.EquivalenceReport.alpha_below_beta_over_rho",
-    "jacobians.EquivalenceReport.block_eigenvalues",
-    "jacobians.EquivalenceReport.classification",
-    "jacobians.EquivalenceReport.consistent",
-    "jacobians.EquivalenceReport.detail",
-    "jacobians.EquivalenceReport.rho",
-    "jacobians.EquivalenceReport.unstable",
-    "jacobians.FixedPointJacobian.active",
-    "jacobians.FixedPointJacobian.algorithm",
     "jacobians.FixedPointJacobian.block_II",
     "jacobians.FixedPointJacobian.block_eigenvalues",
-    "jacobians.FixedPointJacobian.dimension",
-    "jacobians.FixedPointJacobian.inactive",
+    "jacobians.FixedPointJacobian.config",
     "jacobians.FixedPointJacobian.off_IJ",
     "jacobians.FixedPointJacobian.off_Ieps",
     "jacobians.FixedPointJacobian.saddle",
-    "jacobians.FixedPointJacobian.scalar_J",
-    "jacobians.FixedPointJacobian.scalar_eps",
     "regularizers.Assumption1Report.derivative_at_zero_positive",
     "regularizers.Assumption1Report.derivative_nonincreasing",
     "regularizers.Assumption1Report.derivative_nonnegative",
@@ -161,6 +146,32 @@ FIELDS = [
     "solvers.ValidationReport.warnings",
 ]
 
+#: Every property of a dataclass in src/dirw, as module.Class.name: the facts
+#: that are read off the fields above instead of being stored beside them.
+PROPERTIES = [
+    "analysis.SaddleReport.classification",
+    "analysis.SaddleReport.lambda_max",
+    "analysis.SaddleReport.lambda_min",
+    "analysis.SaddleReport.negative_definite",
+    "analysis.SupportPattern.bits",
+    "jacobians.FixedPointJacobian.active",
+    "jacobians.FixedPointJacobian.alpha_below_beta_over_rho",
+    "jacobians.FixedPointJacobian.consistent",
+    "jacobians.FixedPointJacobian.detail",
+    "jacobians.FixedPointJacobian.dimension",
+    "jacobians.FixedPointJacobian.inactive",
+    "jacobians.FixedPointJacobian.scalar_J",
+    "jacobians.FixedPointJacobian.scalar_eps",
+    "jacobians.FixedPointJacobian.spectrum",
+    "regularizers.Assumption1Report.holds",
+    "regularizers.Assumption4Report.holds",
+    "solvers.IterateState.prox_center_inf",
+    "solvers.SolveTrace.final_x",
+    "solvers.SolveTrace.iterations",
+    "solvers.SolverConfig.eps_factor",
+    "solvers.ValidationReport.ok",
+]
+
 SOURCE = pathlib.Path(dirw.__file__).parent
 
 
@@ -181,14 +192,27 @@ def _defaulted(node, prefix):
             yield from _defaulted(child, prefix)
 
 
+def _dataclasses(tree):
+    """Each dataclass definition in ``tree``."""
+    return (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).startswith("dataclass") for d in node.decorator_list))
+
+
 def _fields(tree, module):
     """module.Class.field for each annotated field of each dataclass in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-            ast.unparse(d).startswith("dataclass") for d in node.decorator_list
-        ):
-            yield from (f"{module}.{node.name}.{stmt.target.id}"
-                        for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+    for node in _dataclasses(tree):
+        yield from (f"{module}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body if isinstance(stmt, ast.AnnAssign))
+
+
+def _properties(tree, module):
+    """module.Class.name for each property (or cached_property) of each
+    dataclass in ``tree``."""
+    for node in _dataclasses(tree):
+        yield from (f"{module}.{node.name}.{stmt.name}" for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and any(
+                        ast.unparse(d) in ("property", "cached_property")
+                        for d in stmt.decorator_list))
 
 
 def _found(walk):
@@ -209,6 +233,10 @@ def test_defaulted_parameters_are_pinned():
 
 def test_dataclass_fields_are_pinned():
     assert _found(_fields) == FIELDS
+
+
+def test_dataclass_properties_are_pinned():
+    assert _found(_properties) == PROPERTIES
 
 
 #: The keywords that select the check-once path of the objective, weights,
