@@ -74,7 +74,7 @@ def support(x, tol=SUPPORT_TOL):
     if tol < 0.0:
         raise ValueError("tol must be >= 0")
     x = np.asarray(x, dtype=float)
-    signs = _int8_signs(x, tol).astype(np.int64)
+    signs = np.array(_int8_signs(x, tol), dtype=np.int64)
     active = tuple(np.flatnonzero(signs).tolist())
     inactive = tuple(np.flatnonzero(signs == 0).tolist())
     return SupportPattern(active=active, inactive=inactive, signs=signs)

@@ -336,6 +336,13 @@ def test_support_matches_reference(rng):
     assert support(np.array([-0.0, tol, -tol])).bits == "000"
 
 
+def test_support_signs_stay_int64():
+    # SupportPattern.signs is public; the int8 fingerprint rule is widened for it
+    pattern = support(np.array([2.0, -0.0, np.nan, -np.inf, -3e-10]))
+    assert pattern.signs.dtype == np.int64
+    assert pattern.signs.tolist() == [1, 0, 0, -1, -1]
+
+
 def test_symmetric_eigen_wraps_lapack_failure(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -113,7 +113,8 @@ def test_dirl2_block_eigenvalue_exactly_one_when_hessian_vanishes():
 
 
 def test_unstable_check_boundary():
-    saddle = SaddleReport(restricted=np.zeros((1, 1)), eigenvalues=np.zeros(1),
+    # a strict saddle's report, so the verdict asks for instability
+    saddle = SaddleReport(restricted=-np.eye(1), eigenvalues=-np.ones(1),
                           pattern=support([1.0, 0.0]))
     jac = FixedPointJacobian(
         config=SolverConfig("DIRL1", ALPHA, BETA, MU), saddle=saddle,
@@ -121,12 +122,13 @@ def test_unstable_check_boundary():
         block_eigenvalues=np.array([1.0]),
     )
     assert (jac.dimension, jac.active, jac.inactive) == (2, (0,), (1,))
-    assert not unstable_fixed_point_check(jac)
+    assert not unstable_fixed_point_check(jac) and not jac.consistent
     jac.block_eigenvalues = np.array([0.9125])
     assert jac.spectrum.tolist() == [0.8, 0.86, 0.86, 0.9125]
-    assert not unstable_fixed_point_check(jac)
+    assert not unstable_fixed_point_check(jac) and not jac.consistent
     jac.block_eigenvalues = np.array([2.307])
-    assert unstable_fixed_point_check(jac)
+    assert unstable_fixed_point_check(jac) and jac.consistent
+    assert jac.detail == "strict saddle must be unstable"
 
 
 def _lasso_limit():
